@@ -71,7 +71,7 @@ def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     cand = _check_block(ph, candidate)
     rhs = (-ph.coupling + cand @ ph.slow_block
            + cand @ ph.coupling.conj().T @ cand)
-    return matrixkit.solve(ph.fast_block, rhs)
+    return ph.solve_fast(rhs)
 
 
 def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
@@ -85,7 +85,7 @@ def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
 
 def adiabatic_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:
     """Leading-order embedding ``-fast_block^-1 @ coupling``."""
-    block = -matrixkit.solve(ph.fast_block, ph.coupling)
+    block = -ph.solve_fast(ph.coupling)
     return BlochEmbedding(matrix=block, residual=bloch_residual(ph, block),
                           method="adiabatic", order_or_iterations=0)
 
@@ -96,8 +96,8 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
     """Fixed-point iteration for the embedding block.
 
     Starts from the adiabatic embedding (or ``seed``) and applies
-    :func:`bloch_map` until the residual drops to ``tol`` times the initial
-    residual scale, capped at ``max_iter`` sweeps.
+    :func:`bloch_map` until the residual is at or below ``tol``, an absolute
+    threshold, capped at ``max_iter`` sweeps.
 
     Raises
     ------
@@ -153,12 +153,12 @@ def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     coupling_t = ph.coupling.conj().T
-    terms: list[np.ndarray] = [-matrixkit.solve(ph.fast_block, ph.coupling)]
+    terms: list[np.ndarray] = [-ph.solve_fast(ph.coupling)]
     for k in range(1, order):
         rhs = terms[k - 1] @ ph.slow_block
         for l in range(1, k):
             rhs = rhs + terms[k - l - 1] @ coupling_t @ terms[l - 1]
-        terms.append(matrixkit.solve(ph.fast_block, rhs))
+        terms.append(ph.solve_fast(rhs))
     total = np.sum(terms, axis=0)
     return BlochEmbedding(matrix=total, residual=bloch_residual(ph, total),
                           method="perturbative", order_or_iterations=order,

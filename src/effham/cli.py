@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -65,20 +66,25 @@ class ModelFormatError(ValueError):
 # deterministic serialization
 
 
+def _float_token(x: float) -> str:
+    """17 significant digits, ``0`` for either zero, else nan/inf/-inf."""
+    if math.isfinite(x):
+        return format(x, ".17g") if x else "0"
+    if x != x:
+        return "nan"
+    return "inf" if x > 0 else "-inf"
+
+
 def format_float(x: float) -> str:
     """Shortest-but-exact decimal: round-trips any finite double.
 
     Negative zero is normalized to ``0`` so conjugated entries cannot
-    introduce a ``-0`` that JSON would read back as an integer.
+    introduce a ``-0`` that JSON would read back as an integer; non-finite
+    values become the JSON strings ``"nan"``, ``"inf"`` and ``"-inf"``.
     """
     x = float(x)
-    if np.isnan(x):
-        return '"nan"'
-    if np.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    token = _float_token(x)
+    return token if math.isfinite(x) else f'"{token}"'
 
 
 def _json_scalar(value) -> str:
@@ -371,18 +377,12 @@ def _csv_line(cells) -> str:
 
 
 def _fmt_cell(x) -> str:
+    """CSV cell: strings as given, ``None`` empty, floats as bare tokens."""
     if x is None:
         return ""
     if isinstance(x, str):
         return x
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    return _float_token(float(x))
 
 
 def _radius_field(value):
@@ -552,14 +552,12 @@ def _generator_series(model: Model, token: str, psi0: np.ndarray, times):
 
 
 def _series_csv(series) -> str:
-    pops = populations(series)
-    norms = series.norms()
     header = ["t"] + [f"pop_{lab}" for lab in series.labels] + ["norm"]
     lines = [_csv_line(header)]
-    for i, t in enumerate(series.times):
-        cells = [_fmt_cell(t)] + [_fmt_cell(x) for x in pops[i]]
-        cells.append(_fmt_cell(norms[i]))
-        lines.append(_csv_line(cells))
+    for t, pops, norm in zip(series.times.tolist(),
+                             populations(series).tolist(),
+                             series.norms().tolist()):
+        lines.append(_csv_line(_fmt_cell(x) for x in [t, *pops, norm]))
     return "".join(lines)
 
 
@@ -807,7 +805,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
+    except ValueError as exc:  # ModelFormatError and rejected input values
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except ToolkitError as exc:

@@ -116,7 +116,7 @@ def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
                  <= herm_tol * max(1.0, matrixkit.spectral_norm(a)))
     psi0 = state.amplitudes
     if hermitian:
-        ed = matrixkit.hermitian_eig(0.5 * (a + a.conj().T), herm_tol=np.inf)
+        ed = matrixkit.hermitian_eig(matrixkit.hermitize(a), herm_tol=np.inf)
         coeff = ed.vectors.conj().T @ psi0
         phases = np.exp(-1j * np.outer(t, ed.values))
         amps = phases * coeff[None, :] @ ed.vectors.T

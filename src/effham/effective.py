@@ -57,15 +57,11 @@ def _source(embedding: BlochEmbedding | np.ndarray, prefix: str) -> str:
     return f"{prefix}[custom]"
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 def adiabatic_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     """Leading-order elimination
     ``slow_block - coupling^dagger @ fast_block^-1 @ coupling``."""
-    shift = ph.coupling.conj().T @ matrixkit.solve(ph.fast_block, ph.coupling)
-    return EffectiveOperator(matrix=_hermitize(ph.slow_block - shift),
+    shift = ph.coupling.conj().T @ ph.solve_fast(ph.coupling)
+    return EffectiveOperator(matrix=matrixkit.hermitize(ph.slow_block - shift),
                              hermitian=True, source="adiabatic")
 
 
@@ -105,7 +101,7 @@ def hermitian_effective(ph: PartitionedHamiltonian,
             + block.conj().T @ ph.fast_block @ block)
     gram = np.eye(p) + block.conj().T @ block
     inv_root = matrixkit.inv_sqrt_posdef(gram)
-    matrix = _hermitize(inv_root @ _hermitize(core) @ inv_root)
+    matrix = matrixkit.hermitize(inv_root @ matrixkit.hermitize(core) @ inv_root)
     return EffectiveOperator(matrix=matrix, hermitian=True,
                              source=_source(embedding, "hermitian"),
                              norm_factor=matrixkit.sqrt_posdef(gram))
@@ -118,13 +114,13 @@ def second_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     ``-(1/2) (coupling^dagger fast_block^-2 coupling @ slow_block + h.c.)``,
     one more order in the inverse fast block.
     """
-    inv_coupling = matrixkit.solve(ph.fast_block, ph.coupling)
-    inv2_coupling = matrixkit.solve(ph.fast_block, inv_coupling)
+    inv_coupling = ph.solve_fast(ph.coupling)
+    inv2_coupling = ph.solve_fast(inv_coupling)
     first = ph.slow_block - ph.coupling.conj().T @ inv_coupling
     weight = ph.coupling.conj().T @ inv2_coupling
     matrix = first - 0.5 * (weight @ ph.slow_block + ph.slow_block @ weight)
-    return EffectiveOperator(matrix=_hermitize(matrix), hermitian=True,
-                             source="second_order")
+    return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
+                             hermitian=True, source="second_order")
 
 
 def reconstruct_full_eigenvector(ph: PartitionedHamiltonian,

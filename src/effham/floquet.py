@@ -193,13 +193,12 @@ def build_floquet(spec: FloquetSpec,
                 out[r:r + d, c:c + d] += comp
     shifts = -spec.drive_frequency * np.arange(-cutoff, cutoff + 1)
     out[np.arange(size), np.arange(size)] += np.repeat(shifts, d)
-    out = 0.5 * (out + out.conj().T)
-    return TruncatedFloquetOperator(matrix=out, cutoff=cutoff, dim=d,
+    return TruncatedFloquetOperator(matrix=matrixkit.hermitize(out),
+                                    cutoff=cutoff, dim=d,
                                     drive_frequency=spec.drive_frequency)
 
 
-def floquet_partition(tfo: TruncatedFloquetOperator, *,
-                      rcond_limit: float = 1e-12) -> PartitionedHamiltonian:
+def floquet_partition(tfo: TruncatedFloquetOperator) -> PartitionedHamiltonian:
     """Partition the truncated operator along its zero-harmonic block.
 
     A singular fast sector signals a resonance between the zero-harmonic
@@ -207,8 +206,7 @@ def floquet_partition(tfo: TruncatedFloquetOperator, *,
     raised :class:`SingularFastBlock`.
     """
     try:
-        return partition_hamiltonian(tfo.matrix, tfo.zero_harmonic_indices,
-                                     rcond_limit=rcond_limit)
+        return partition_hamiltonian(tfo.matrix, tfo.zero_harmonic_indices)
     except SingularFastBlock as exc:
         central = matrixkit.hermitian_eig(tfo.block(0, 0)).values
         w = tfo.drive_frequency
@@ -440,4 +438,4 @@ def first_order_floquet_hamiltonian(spec: FloquetSpec) -> np.ndarray:
         if k == 0:
             continue
         out -= spec.components[-k] @ spec.components[k] / (w * k)
-    return 0.5 * (out + out.conj().T)
+    return matrixkit.hermitize(out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -18,7 +17,6 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     ShapeMismatch,
-    SingularMatrix,
     SpectraOverlap,
 )
 
@@ -29,11 +27,10 @@ __all__ = [
     "frobenius_norm",
     "operator_norm",
     "hermiticity_deviation",
+    "hermitize",
     "require_hermitian",
     "hermitian_eig",
     "general_eig",
-    "inverse",
-    "solve",
     "inv_sqrt_posdef",
     "sqrt_posdef",
     "sylvester_solve",
@@ -83,6 +80,11 @@ def hermiticity_deviation(a: np.ndarray) -> float:
     """Spectral norm of the anti-hermitian part residual ``a - a^dagger``."""
     a = np.asarray(a, dtype=complex)
     return spectral_norm(a - a.conj().T)
+
+
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(a + a^dagger) / 2``."""
+    return 0.5 * (a + a.conj().T)
 
 
 def require_hermitian(a: np.ndarray, tol: float = 1e-10,
@@ -148,42 +150,13 @@ def general_eig(a: np.ndarray, *, cond_limit: float = 1e12) -> EigenDecompositio
                               hermitian=False)
 
 
-def _check_invertible(a: np.ndarray, rcond_limit: float, name: str) -> None:
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < rcond_limit:
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularMatrix(
-            f"{name} is singular to working precision "
-            f"(condition {cond:.3e}, rcond limit {rcond_limit:.1e})",
-            condition=cond)
-
-
-def inverse(a: np.ndarray, *, rcond_limit: float = 1e-12) -> np.ndarray:
-    """Matrix inverse, gated on the reciprocal condition number."""
-    a = _require_square(as_matrix(a))
-    _check_invertible(a, rcond_limit, "matrix")
-    return np.linalg.inv(a)
-
-
-def solve(a: np.ndarray, b: np.ndarray, *, rcond_limit: float = 1e-12) -> np.ndarray:
-    """Solve ``a @ x = b`` with the same singularity gate as :func:`inverse`."""
-    a = _require_square(as_matrix(a))
-    b = np.asarray(b, dtype=complex)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeMismatch(
-            f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
-    _check_invertible(a, rcond_limit, "matrix")
-    return np.linalg.solve(a, b)
-
-
 def sqrt_posdef(a: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
     """Hermitian square root of a positive definite matrix."""
     ed = hermitian_eig(a, herm_tol=herm_tol)
     if ed.values[0] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
-    root = (ed.vectors * np.sqrt(ed.values)) @ ed.vectors.conj().T
-    return 0.5 * (root + root.conj().T)
+    return hermitize((ed.vectors * np.sqrt(ed.values)) @ ed.vectors.conj().T)
 
 
 def inv_sqrt_posdef(a: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
@@ -192,26 +165,24 @@ def inv_sqrt_posdef(a: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
     if ed.values[0] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
-    root = (ed.vectors / np.sqrt(ed.values)) @ ed.vectors.conj().T
-    return 0.5 * (root + root.conj().T)
+    return hermitize((ed.vectors / np.sqrt(ed.values)) @ ed.vectors.conj().T)
 
 
-def sylvester_solve(slow_op: np.ndarray, fast_op: np.ndarray, rhs: np.ndarray,
-                    *, gap_tol: float = 1e-9, herm_tol: float = 1e-10) -> np.ndarray:
-    """Solve ``x @ slow_op - fast_op @ x = rhs`` for hermitian operators.
+def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
+                    rhs: np.ndarray, *, gap_tol: float = 1e-9) -> np.ndarray:
+    """Solve ``x @ S - F @ x = rhs`` for hermitian ``S`` and ``F``.
 
-    Both operators are diagonalized and the equation is divided through by
-    the eigenvalue differences, so the solution exists and is unique exactly
-    when the two spectra are disjoint.  :class:`SpectraOverlap` is raised
-    when any eigenvalue pair comes closer than ``gap_tol``.
+    ``slow`` and ``fast`` are the eigendecompositions of ``S`` and ``F``; the
+    equation is divided through by the eigenvalue differences, so the
+    solution exists and is unique exactly when the two spectra are disjoint.
+    :class:`SpectraOverlap` is raised when any eigenvalue pair comes closer
+    than ``gap_tol``.
     """
-    slow = hermitian_eig(slow_op, herm_tol=herm_tol)
-    fast = hermitian_eig(fast_op, herm_tol=herm_tol)
     rhs = as_matrix(rhs, "right-hand side")
-    if rhs.shape != (fast_op.shape[0], slow_op.shape[0]):
+    shape = (fast.values.size, slow.values.size)
+    if rhs.shape != shape:
         raise ShapeMismatch(
-            f"right-hand side shape {rhs.shape} does not match "
-            f"({fast_op.shape[0]}, {slow_op.shape[0]})")
+            f"right-hand side shape {rhs.shape} does not match {shape}")
     denom = slow.values[None, :] - fast.values[:, None]
     gap = float(np.min(np.abs(denom))) if denom.size else np.inf
     if gap < gap_tol:
@@ -240,9 +211,7 @@ def expm(a: np.ndarray, *, herm_tol: float = 1e-10,
         return (ed.vectors * np.exp(ed.values)) @ ed.vectors.conj().T
     if spectral_norm(a + a.conj().T) <= herm_tol * scale:
         # a = i*h with h hermitian, so exp(a) is unitary.
-        h = -1j * a
-        h = 0.5 * (h + h.conj().T)
-        ed = hermitian_eig(h, herm_tol=np.inf)
+        ed = hermitian_eig(hermitize(-1j * a), herm_tol=np.inf)
         u = (ed.vectors * np.exp(1j * ed.values)) @ ed.vectors.conj().T
         defect = spectral_norm(u.conj().T @ u - np.eye(n))
         if defect > unitary_tol:
@@ -250,6 +219,7 @@ def expm(a: np.ndarray, *, herm_tol: float = 1e-10,
                 f"exponential of anti-hermitian input lost unitarity "
                 f"({defect:.3e} > {unitary_tol:.1e})")
         return u
+    import scipy.linalg  # deferred: the only scipy use, and a slow import
     out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):
         raise ConvergenceFailure("matrix exponential overflowed")

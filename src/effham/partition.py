@@ -4,10 +4,13 @@ A partition splits a hermitian matrix ``H`` into the slow-sector block, the
 fast-sector block, and the coupling between them.  All downstream solvers
 work in the partitioned ordering (slow components first); the original index
 placement is kept so the full operator can be rebuilt exactly.
+Every use of the fast block (gate, inverse norm, spectrum, solves) reads
+one cached eigendecomposition, :attr:`PartitionedHamiltonian.fast_eig`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +25,9 @@ __all__ = [
     "invariance_radius",
     "spectral_gap",
 ]
+
+# Smallest min|lam| / max|lam| the fast block may have.
+RCOND_LIMIT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,31 @@ class PartitionedHamiltonian:
     def dim(self) -> int:
         return self.slow_dim + self.fast_dim
 
+    @cached_property
+    def fast_eig(self) -> matrixkit.EigenDecomposition:
+        """Eigendecomposition of the (hermitian) fast block, computed once.
+
+        The first evaluation is the invertibility gate: it raises
+        :class:`SingularFastBlock` when ``min|lam| / max|lam| < RCOND_LIMIT``
+        with condition ``max|lam| / min|lam|``, ``inf`` on an exact zero.
+        """
+        values, vectors = np.linalg.eigh(self.fast_block)
+        mags = np.abs(values)
+        small, large = float(np.min(mags)), float(np.max(mags))
+        if large == 0.0 or small / large < RCOND_LIMIT:
+            cond = np.inf if small == 0.0 else large / small
+            raise SingularFastBlock(
+                f"fast block is singular to working precision "
+                f"(condition {cond:.3e}, rcond limit {RCOND_LIMIT:.1e})",
+                condition=cond)
+        return matrixkit.EigenDecomposition(values=values, vectors=vectors,
+                                            hermitian=True)
+
+    def solve_fast(self, rhs: np.ndarray) -> np.ndarray:
+        """``fast_block^-1 @ rhs`` (q x k) as ``V ((V^dagger rhs) / lam)``."""
+        ed = self.fast_eig
+        return ed.vectors @ ((ed.vectors.conj().T @ rhs) / ed.values[:, None])
+
     @property
     def block_matrix(self) -> np.ndarray:
         """Full operator in partitioned ordering, slow components first."""
@@ -77,8 +108,7 @@ class PartitionedHamiltonian:
 
 
 def partition_hamiltonian(matrix: np.ndarray, slow_indices, *,
-                          herm_tol: float = 1e-12,
-                          rcond_limit: float = 1e-12) -> PartitionedHamiltonian:
+                          herm_tol: float = 1e-12) -> PartitionedHamiltonian:
     """Partition a hermitian matrix along the given slow indices.
 
     Parameters
@@ -88,8 +118,9 @@ def partition_hamiltonian(matrix: np.ndarray, slow_indices, *,
     slow_indices:
         Indices of the slow sector; the complement becomes the fast sector.
         Both sectors must be non-empty, and the fast block must be
-        invertible to ``rcond_limit`` or :class:`SingularFastBlock` is
-        raised, because every elimination formula divides by it.
+        invertible (the gate of :attr:`PartitionedHamiltonian.fast_eig`)
+        or :class:`SingularFastBlock` is raised, because every elimination
+        formula divides by it.
     """
     h = matrixkit.as_matrix(matrix, "hamiltonian")
     if h.shape[0] != h.shape[1]:
@@ -106,23 +137,15 @@ def partition_hamiltonian(matrix: np.ndarray, slow_indices, *,
         raise EmptyPartition(
             f"partition must leave both sectors non-empty "
             f"(slow {len(slow)}, fast {len(fast)} of {n})")
-    slow_t = tuple(slow)
-    fast_t = tuple(fast)
-    fast_block = h[np.ix_(fast, fast)]
-    sv = np.linalg.svd(fast_block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < rcond_limit:
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularFastBlock(
-            f"fast block is singular to working precision "
-            f"(condition {cond:.3e}, rcond limit {rcond_limit:.1e})",
-            condition=cond)
-    return PartitionedHamiltonian(
+    ph = PartitionedHamiltonian(
         slow_block=h[np.ix_(slow, slow)],
-        fast_block=fast_block,
+        fast_block=h[np.ix_(fast, fast)],
         coupling=h[np.ix_(fast, slow)],
-        slow_indices=slow_t,
-        fast_indices=fast_t,
+        slow_indices=tuple(slow),
+        fast_indices=tuple(fast),
     )
+    ph.fast_eig  # the invertibility gate
+    return ph
 
 
 @dataclass(frozen=True)
@@ -165,8 +188,13 @@ def invariance_radius(epsilon: float,
 
 def coupling_scales(ph: PartitionedHamiltonian, *,
                     norm: str = "spectral") -> CouplingScales:
-    """Coupling scales, invariant-ball radii, and slow/fast spectral gap."""
-    inv_norm = matrixkit.operator_norm(matrixkit.inverse(ph.fast_block), norm)
+    """Coupling scales, invariant-ball radii, and slow/fast spectral gap.
+
+    ``||fast_block^-1||`` is ``1 / min|lam|``, or ``sqrt(sum lam^-2)`` for
+    the Frobenius norm.
+    """
+    inv_lam = 1.0 / np.abs(ph.fast_eig.values)
+    inv_norm = np.max(inv_lam) if norm == "spectral" else np.linalg.norm(inv_lam)
     eps = inv_norm * matrixkit.operator_norm(ph.slow_block, norm)
     eps_prime = inv_norm * matrixkit.operator_norm(ph.coupling, norm)
     radii = invariance_radius(eps, eps_prime)
@@ -187,5 +215,5 @@ def spectral_gap(ph: PartitionedHamiltonian) -> float:
     compared to the coupling, but no routine enforces that.
     """
     slow = matrixkit.hermitian_eig(ph.slow_block).values
-    fast = matrixkit.hermitian_eig(ph.fast_block).values
+    fast = ph.fast_eig.values
     return float(np.min(np.abs(slow[:, None] - fast[None, :])))

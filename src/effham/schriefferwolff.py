@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixkit
 from .bloch import BlochEmbedding, embedding_from_matrix
-from .effective import EffectiveOperator, _hermitize
+from .effective import EffectiveOperator
 from .errors import ShapeMismatch
 from .partition import PartitionedHamiltonian
 
@@ -66,8 +66,10 @@ def rotation_from_block(block: np.ndarray) -> np.ndarray:
     """Closed-form decoupling unitary for an embedding block."""
     b = np.asarray(block, dtype=complex)
     q, p = b.shape
-    slow_norm = matrixkit.inv_sqrt_posdef(np.eye(p) + b.conj().T @ b)
-    fast_norm = matrixkit.inv_sqrt_posdef(np.eye(q) + b @ b.conj().T)
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    shrink = 1.0 / np.sqrt(1.0 + s * s) - 1.0
+    slow_norm = np.eye(p) + (vh.conj().T * shrink) @ vh
+    fast_norm = np.eye(q) + (u * shrink) @ u.conj().T
     out = np.zeros((p + q, p + q), dtype=complex)
     out[:p, :p] = slow_norm
     out[p:, :p] = b @ slow_norm
@@ -89,6 +91,13 @@ def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenera
     return SWGenerator(block=gen, rotation=rotation_from_block(b), order="exact")
 
 
+def _tan_block(gen_block: np.ndarray) -> np.ndarray:
+    u, s, vh = np.linalg.svd(gen_block, full_matrices=False)
+    if s.size and s[0] >= 0.5 * np.pi:
+        raise ValueError("generator has a principal angle >= pi/2")
+    return (u * np.tan(s)) @ vh
+
+
 def tanh_block(gen: SWGenerator) -> np.ndarray:
     """Embedding block reproducing ``gen``: ``tan`` of its singular values.
 
@@ -96,10 +105,12 @@ def tanh_block(gen: SWGenerator) -> np.ndarray:
     this gives an embedding seed that resums the slow-block dependence of
     the linearized equation; it requires every principal angle below pi/2.
     """
-    u, s, vh = np.linalg.svd(gen.block, full_matrices=False)
-    if s.size and s[0] >= 0.5 * np.pi:
-        raise ValueError("generator has a principal angle >= pi/2")
-    return (u * np.tan(s)) @ vh
+    return _tan_block(gen.block)
+
+
+def _linearized_block(ph: PartitionedHamiltonian, gap_tol: float) -> np.ndarray:
+    return matrixkit.sylvester_solve(matrixkit.hermitian_eig(ph.slow_block),
+                                     ph.fast_eig, ph.coupling, gap_tol=gap_tol)
 
 
 def first_order_generator(ph: PartitionedHamiltonian, *,
@@ -112,13 +123,8 @@ def first_order_generator(ph: PartitionedHamiltonian, *,
     attached rotation is the closed form for the matching embedding block
     ``tan`` (principal angles), so it is exactly unitary.
     """
-    gen = matrixkit.sylvester_solve(ph.slow_block, ph.fast_block, ph.coupling,
-                                    gap_tol=gap_tol)
-    u, s, vh = np.linalg.svd(gen, full_matrices=False)
-    if s.size and s[0] >= 0.5 * np.pi:
-        raise ValueError("first-order generator has a principal angle >= pi/2")
-    block = (u * np.tan(s)) @ vh
-    return SWGenerator(block=gen, rotation=rotation_from_block(block),
+    gen = _linearized_block(ph, gap_tol)
+    return SWGenerator(block=gen, rotation=rotation_from_block(_tan_block(gen)),
                        order="first_order")
 
 
@@ -136,12 +142,11 @@ def sw_first_order_hamiltonian(ph: PartitionedHamiltonian, *,
     ``G`` from :func:`first_order_generator`.  Hermitian by construction
     and correct through second order in the coupling.
     """
-    gen = matrixkit.sylvester_solve(ph.slow_block, ph.fast_block, ph.coupling,
-                                    gap_tol=gap_tol)
+    gen = _linearized_block(ph, gap_tol)
     matrix = ph.slow_block + 0.5 * (gen.conj().T @ ph.coupling
                                     + ph.coupling.conj().T @ gen)
-    return EffectiveOperator(matrix=_hermitize(matrix), hermitian=True,
-                             source="sw_first")
+    return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
+                             hermitian=True, source="sw_first")
 
 
 def block_offdiagonal_norm(matrix: np.ndarray, gen: SWGenerator,

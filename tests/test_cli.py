@@ -10,6 +10,7 @@ import pytest
 
 from effham import __version__
 from effham.cli import (
+    _fmt_cell,
     dumps_json,
     format_float,
     load_model,
@@ -41,6 +42,24 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
     assert format_float(float("nan")) == '"nan"'
     assert format_float(float("inf")) == '"inf"'
+
+
+def test_json_and_csv_float_strings_pinned():
+    cases = [
+        (0.0, "0", "0"),
+        (-0.0, "0", "0"),
+        (float("nan"), '"nan"', "nan"),
+        (float("inf"), '"inf"', "inf"),
+        (float("-inf"), '"-inf"', "-inf"),
+        (1e-300, "1e-300", "1e-300"),
+        (2**53 + 1, "9007199254740992", "9007199254740992"),
+        (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+    ]
+    for x, json_text, csv_text in cases:
+        assert format_float(x) == json_text
+        assert _fmt_cell(x) == csv_text
+    assert _fmt_cell(None) == ""
+    assert _fmt_cell("adiabatic") == "adiabatic"
 
 
 def test_parse_complex_entry_forms():
@@ -165,6 +184,28 @@ def test_exit_code_for_floquet_resonance(tmp_path, capsys):
     assert main(["floquet", model, "--methods", "adiabatic",
                  "--cutoff", "2"]) == 3
     assert "SingularFastBlock" in capsys.readouterr().err
+
+
+def test_exit_code_for_nan_matrix_entry(tmp_path, capsys):
+    model = tmp_path / "nan.json"
+    model.write_text(json.dumps({"matrix": {
+        "hamiltonian": [[0.5, 0.1], [0.1, float("nan")]],
+        "slow_indices": [0]}}))
+    assert main(["solve", str(model)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_exit_code_for_nonpositive_drive_frequency(tmp_path, capsys):
+    model = write_qubit(tmp_path, drive_frequency=0)
+    assert main(["floquet", model]) == 2
+    assert "drive frequency must be positive" in capsys.readouterr().err
+
+
+def test_exit_code_for_too_few_monodromy_steps(tmp_path, capsys):
+    model = write_qubit(tmp_path)
+    assert main(["floquet", model, "--methods", "monodromy",
+                 "--steps", "10"]) == 2
+    assert "refine the grid" in capsys.readouterr().err
 
 
 def test_floquet_table_method_agreement(tmp_path):

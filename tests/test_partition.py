@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from effham.bloch import iterate_bloch, perturbative_bloch
+from effham.effective import adiabatic_hamiltonian, hermitian_effective
 from effham.errors import (
     EmptyPartition,
     NotHermitian,
@@ -14,8 +16,29 @@ from effham.partition import (
     coupling_scales,
     invariance_radius,
     partition_hamiltonian,
+    spectral_gap,
 )
-from ensembles import lambda_partition, make_partition
+from effham.schriefferwolff import (
+    generator_from_embedding,
+    sw_first_order_hamiltonian,
+)
+from ensembles import lambda_partition, make_partition, scaling_instance
+
+
+def fast_block_ensemble():
+    """Seeded partitions with p 1-4, q 1-8 and several coupling scales,
+    followed by the frozen scaling instance."""
+    rng = np.random.default_rng(31)
+    for p in range(1, 5):
+        for q in range(1, 9):
+            for eps, eps_prime in ((0.02, 0.05), (0.2, 0.3), (0.45, 0.25)):
+                yield make_partition(rng, p, q, eps, eps_prime,
+                                     gap=float(rng.uniform(0.5, 4.0)))
+    yield scaling_instance()
+
+
+def rel_err(got, ref) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
 
 
 def test_lambda_blocks():
@@ -109,6 +132,61 @@ def test_partition_rejects_singular_fast_block():
     with pytest.raises(SingularFastBlock) as info:
         partition_hamiltonian(h, (0,))
     assert info.value.condition == np.inf
+
+
+def test_partition_rejects_rank_deficient_fast_block():
+    h = np.zeros((3, 3))
+    h[1:, 1:] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(SingularFastBlock) as info:
+        partition_hamiltonian(h, (0,))
+    assert info.value.condition > 1e12
+
+
+def test_solve_fast_matches_dense_solve():
+    rng = np.random.default_rng(37)
+    for ph in fast_block_ensemble():
+        q, p = ph.coupling.shape
+        rhs = rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p))
+        for b in (ph.coupling, rhs):
+            ref = np.linalg.solve(ph.fast_block, b)
+            assert rel_err(ph.solve_fast(b), ref) < 1e-12
+
+
+def test_scales_and_gap_match_dense_inverse():
+    for ph in fast_block_ensemble():
+        inv = np.linalg.inv(ph.fast_block)
+        for norm, order in (("spectral", 2), ("frobenius", "fro")):
+            inv_norm = np.linalg.norm(inv, order)
+            scales = coupling_scales(ph, norm=norm)
+            eps = inv_norm * np.linalg.norm(ph.slow_block, order)
+            eps_prime = inv_norm * np.linalg.norm(ph.coupling, order)
+            assert scales.epsilon == pytest.approx(eps, rel=1e-12)
+            assert scales.epsilon_prime == pytest.approx(eps_prime, rel=1e-12)
+        slow = np.linalg.eigvalsh(ph.slow_block)
+        fast = np.linalg.eigvalsh(ph.fast_block)
+        gap = np.min(np.abs(slow[:, None] - fast[None, :]))
+        assert spectral_gap(ph) == pytest.approx(gap, rel=1e-12)
+
+
+def test_fast_block_is_decomposed_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    q = 64
+    h = make_partition(rng, 4, q, 0.1, 0.2).block_matrix
+    seen = []
+    for name in ("eigh", "svd", "solve", "inv"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kw):
+            seen.append((_name, np.shape(args[0])))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    ph = partition_hamiltonian(h, range(4))
+    coupling_scales(ph)
+    adiabatic_hamiltonian(ph)
+    perturbative_bloch(ph, 4)
+    be = iterate_bloch(ph)
+    hermitian_effective(ph, be)
+    sw_first_order_hamiltonian(ph)
+    generator_from_embedding(be)
+    assert [name for name, shape in seen if shape == (q, q)] == ["eigh"]
 
 
 def test_coupling_scales_on_random_ensemble():

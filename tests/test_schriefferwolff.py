@@ -19,7 +19,7 @@ from effham.schriefferwolff import (
     sw_first_order_hamiltonian,
     tanh_block,
 )
-from ensembles import lambda_partition, make_partition
+from ensembles import lambda_partition, make_partition, scaling_instance
 
 
 def test_scalar_generator_is_arctangent():
@@ -37,6 +37,24 @@ def test_rotation_is_unitary_for_random_blocks():
         r = rotation_from_block(b)
         n = p + q
         assert np.linalg.norm(r.conj().T @ r - np.eye(n)) < 1e-12
+
+
+def test_rotation_matches_inverse_square_root_form():
+    rng = np.random.default_rng(47)
+    blocks = [iterate_bloch(scaling_instance()).matrix]
+    for p in range(1, 5):
+        for q in range(1, 9):
+            ph = make_partition(rng, p, q, 0.2, 0.3)
+            blocks.append(iterate_bloch(ph).matrix)
+            blocks.append(2.0 * (rng.standard_normal((q, p))
+                                 + 1j * rng.standard_normal((q, p))))
+    for b in blocks:
+        q, p = b.shape
+        slow = matrixkit.inv_sqrt_posdef(np.eye(p) + b.conj().T @ b)
+        fast = matrixkit.inv_sqrt_posdef(np.eye(q) + b @ b.conj().T)
+        ref = np.block([[slow, -b.conj().T @ fast], [b @ slow, fast]])
+        got = rotation_from_block(b)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_rotation_equals_exponentiated_generator():
