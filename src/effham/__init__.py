@@ -31,9 +31,9 @@ from .errors import (
     SeriesDiverging,
     ShapeMismatch,
     SingularFastBlock,
-    SingularMatrix,
     SpectraOverlap,
     ToolkitError,
+    WidePrincipalAngle,
     WindowTooSmall,
     ZeroVector,
 )
@@ -103,11 +103,11 @@ __all__ = [
     "__version__",
     # errors
     "ToolkitError", "NotHermitian", "ConvergenceFailure", "DefectiveMatrix",
-    "SingularMatrix", "NotPositiveDefinite", "SpectraOverlap", "ShapeMismatch",
+    "NotPositiveDefinite", "SpectraOverlap", "ShapeMismatch",
     "EmptyPartition", "SingularFastBlock", "Diverged", "OracleAmbiguous",
     "CutoffTooSmall", "SeriesDiverging", "NonUnitaryMonodromy",
     "NonUnitaryStep", "ZeroVector", "IndexOutOfRange", "WindowTooSmall",
-    "InsufficientPeaks",
+    "InsufficientPeaks", "WidePrincipalAngle",
     # partition
     "PartitionedHamiltonian", "CouplingScales", "partition_hamiltonian",
     "coupling_scales", "invariance_radius", "spectral_gap",

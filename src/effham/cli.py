@@ -423,16 +423,6 @@ def _solve_once(ph, method: str, order: int, tol: float):
     raise ModelFormatError(f"unknown solve method {method!r}")
 
 
-def _lambda_with(params: dict, name: str, value: float) -> Model:
-    updated = dict(params)
-    updated[name] = value
-    return _parse_lambda({
-        "detuning": updated["detuning"], "gap": updated["gap"],
-        "rabi_a": complex_to_json(complex(updated["rabi_a"])),
-        "rabi_b": complex_to_json(complex(updated["rabi_b"])),
-    })
-
-
 def _parse_sweep(text: str):
     parts = text.split(":")
     if len(parts) != 4:
@@ -495,9 +485,10 @@ def _solve_sweep(args, model: Model) -> int:
     header = [name] + [f"eig_{i}" for i in range(p)] + [
         "bloch_residual", "epsilon", "epsilon_prime", "radius"]
     lines = [_csv_line(header)]
+    cast = complex if name.startswith("rabi") else float
     for value in values:
-        swept = _lambda_with(model.params, name, float(value))
-        ph = partition_hamiltonian(swept.hamiltonian, swept.slow_indices)
+        h = three_level_matrix(**{**model.params, name: cast(value)})
+        ph = partition_hamiltonian(h, model.slow_indices)
         scales = coupling_scales(ph)
         op, be = _solve_once(ph, args.method, args.order, args.tol)
         spectrum = np.real(op.spectrum())

@@ -23,7 +23,7 @@ from .errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from .floquet import FloquetSpec
+from .floquet import FloquetSpec, _substep_unitaries
 
 __all__ = [
     "StateVector",
@@ -96,27 +96,23 @@ def _check_times(times) -> np.ndarray:
 
 
 def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
-                    kind: str | None = None,
-                    herm_tol: float = 1e-10) -> TimeSeries:
+                    kind: str | None = None) -> TimeSeries:
     """Evolve a state under a constant generator ``exp(-i A t)``.
 
-    Hermitian generators are diagonalized once and sampled at arbitrary
-    times; general generators are advanced with stepped exponentials, which
-    requires non-decreasing times.  Norm is preserved only in the hermitian
-    case.
+    Generators hermitian to ``matrixkit.HERM_TOL`` are hermitized,
+    diagonalized once and sampled at arbitrary times; general generators
+    are advanced with stepped exponentials, which requires non-decreasing
+    times.  Norm is preserved only in the hermitian case.
     """
-    a = matrixkit.as_matrix(matrix, "generator")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"generator must be square, got shape {a.shape}")
+    a = matrixkit._require_square(matrixkit.as_matrix(matrix, "generator"),
+                                  "generator")
     if state.dim != a.shape[0]:
         raise ShapeMismatch(
             f"state has {state.dim} components, generator acts on {a.shape[0]}")
     t = _check_times(times)
-    hermitian = (matrixkit.hermiticity_deviation(a)
-                 <= herm_tol * max(1.0, matrixkit.spectral_norm(a)))
     psi0 = state.amplitudes
-    if hermitian:
-        ed = matrixkit.hermitian_eig(matrixkit.hermitize(a), herm_tol=np.inf)
+    if matrixkit._hermiticity_excess(a, matrixkit.HERM_TOL) is None:
+        ed = matrixkit.hermitian_eig(matrixkit.hermitize(a))
         coeff = ed.vectors.conj().T @ psi0
         phases = np.exp(-1j * np.outer(t, ed.values))
         amps = phases * coeff[None, :] @ ed.vectors.T
@@ -141,16 +137,6 @@ def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
         label = kind or "nonhermitian_constant"
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,
                       generator_kind=label)
-
-
-def _substep_unitaries(spec: FloquetSpec, start: float, stop: float,
-                       count: int) -> np.ndarray:
-    h = (stop - start) / count
-    mids = start + (np.arange(count) + 0.5) * h
-    hams = spec.hamiltonian_at(mids)
-    vals, vecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * vals * h)
-    return (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
 def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,

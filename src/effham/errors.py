@@ -12,7 +12,6 @@ __all__ = [
     "NotHermitian",
     "ConvergenceFailure",
     "DefectiveMatrix",
-    "SingularMatrix",
     "NotPositiveDefinite",
     "SpectraOverlap",
     "ShapeMismatch",
@@ -28,6 +27,7 @@ __all__ = [
     "IndexOutOfRange",
     "WindowTooSmall",
     "InsufficientPeaks",
+    "WidePrincipalAngle",
 ]
 
 
@@ -49,14 +49,6 @@ class ConvergenceFailure(ToolkitError):
 
 class DefectiveMatrix(ToolkitError):
     """A general eigenproblem has a numerically defective eigenbasis."""
-
-
-class SingularMatrix(ToolkitError):
-    """A matrix that must be inverted is singular to working precision."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
 
 
 class NotPositiveDefinite(ToolkitError):
@@ -127,3 +119,7 @@ class WindowTooSmall(ToolkitError):
 
 class InsufficientPeaks(ToolkitError):
     """Too few interior maxima to estimate a secular time shift."""
+
+
+class WidePrincipalAngle(ToolkitError):
+    """A rotation generator has a principal angle of pi/2 or more."""

@@ -80,12 +80,12 @@ class FloquetSpec:
             if partner is None:
                 raise NotHermitian(
                     f"component {k} has no adjoint partner at harmonic {-k}")
-            dev = matrixkit.spectral_norm(arr.conj().T - partner)
-            scale = max(1.0, matrixkit.spectral_norm(arr))
-            if dev > 1e-10 * scale:
+            excess = matrixkit._hermiticity_excess(
+                arr, matrixkit.HERM_TOL, arr.conj().T - partner)
+            if excess is not None:
                 raise NotHermitian(
                     f"components {k} and {-k} are not mutually adjoint "
-                    f"(deviation {dev:.3e})", deviation=dev)
+                    f"(deviation {excess[0]:.3e})", deviation=excess[0])
         self.components = clean
 
     @property
@@ -252,15 +252,19 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
-def monodromy(spec: FloquetSpec, steps: int | None = None) -> np.ndarray:
-    """One-period propagator by midpoint-sampled piecewise exponentials.
+def _substep_unitaries(spec: FloquetSpec, start: float, stop: float,
+                       count: int) -> np.ndarray:
+    """``count`` midpoint-sampled exponentials covering ``[start, stop]``."""
+    h = (stop - start) / count
+    mids = start + (np.arange(count) + 0.5) * h
+    hams = spec.hamiltonian_at(mids)
+    vals, vecs = np.linalg.eigh(hams)
+    phases = np.exp(-1j * vals * h)
+    return (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
-    Each substep is exponentiated through a hermitian eigendecomposition,
-    so every factor is unitary to rounding; the step count must keep
-    ``step * ||H||`` at or below 0.1 and defaults to well inside that.
-    The overall second-order accuracy of midpoint sampling is what limits
-    quasi-energy precision.
-    """
+
+def _monodromy_steps(spec: FloquetSpec, steps: int | None) -> int:
+    """The validated one-period step count; see :func:`monodromy`."""
     period = spec.period
     bound = max(spec.norm_bound(), 1e-30)
     if steps is None:
@@ -271,13 +275,20 @@ def monodromy(spec: FloquetSpec, steps: int | None = None) -> np.ndarray:
         raise ValueError(
             f"{steps} steps leave step*||H|| = "
             f"{(period / steps) * bound:.3e} above 0.1; refine the grid")
-    h = period / steps
-    mids = (np.arange(steps) + 0.5) * h
-    hams = spec.hamiltonian_at(mids)
-    vals, vecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * vals * h)
-    unitaries = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    u = _ordered_product(unitaries)
+    return steps
+
+
+def monodromy(spec: FloquetSpec, steps: int | None = None) -> np.ndarray:
+    """One-period propagator by midpoint-sampled piecewise exponentials.
+
+    Each substep is exponentiated through a hermitian eigendecomposition,
+    so every factor is unitary to rounding; the step count must keep
+    ``step * ||H||`` at or below 0.1 and defaults to well inside that.
+    The overall second-order accuracy of midpoint sampling is what limits
+    quasi-energy precision.
+    """
+    steps = _monodromy_steps(spec, steps)
+    u = _ordered_product(_substep_unitaries(spec, 0.0, spec.period, steps))
     defect = matrixkit.spectral_norm(
         u.conj().T @ u - np.eye(spec.dim))
     if defect > 1e-8:
@@ -288,7 +299,8 @@ def monodromy(spec: FloquetSpec, steps: int | None = None) -> np.ndarray:
 
 def quasi_energies_monodromy(spec: FloquetSpec,
                              steps: int | None = None) -> QuasiEnergySet:
-    """Quasi-energies from the eigenphases of the one-period propagator."""
+    """Quasi-energies from the one-period propagator; records steps used."""
+    steps = _monodromy_steps(spec, steps)
     u = monodromy(spec, steps)
     eigvals = np.linalg.eigvals(u)
     # Unitary input: eigenvalues sit on the unit circle to rounding.

@@ -38,6 +38,9 @@ __all__ = [
     "pair_eigenvalues",
 ]
 
+# Hermiticity tolerance, relative to max(1, ||a||), of every check here.
+HERM_TOL = 1e-10
+
 
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite, 2-D, complex array."""
@@ -56,9 +59,9 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
+    """Largest singular value; 0.0, without an SVD, for a zero or empty one."""
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -87,7 +90,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-10,
+def _hermiticity_excess(a: np.ndarray, tol: float,
+                        residual: np.ndarray | None = None):
+    """``(||residual||, max(1, ||a||))`` if the first exceeds ``tol`` times
+    the second, else None.  ``residual`` defaults to ``a - a^dagger``; an
+    exact zero costs no SVD, and ``||a||`` is taken only past ``tol``."""
+    dev = (hermiticity_deviation(a) if residual is None
+           else spectral_norm(residual))
+    if dev <= tol:
+        return None
+    scale = max(1.0, spectral_norm(a))
+    return (dev, scale) if dev > tol * scale else None
+
+
+def require_hermitian(a: np.ndarray, tol: float = HERM_TOL,
                       name: str = "matrix") -> np.ndarray:
     """Raise :class:`NotHermitian` unless ``a`` is hermitian within ``tol``.
 
@@ -95,12 +111,11 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10,
     ``tol * max(1, ||a||)`` so that the check is absolute for small matrices
     and relative for large ones.
     """
-    dev = hermiticity_deviation(a)
-    scale = max(1.0, spectral_norm(a))
-    if dev > tol * scale:
+    excess = _hermiticity_excess(a, tol)
+    if excess is not None:
         raise NotHermitian(
-            f"{name} is not hermitian: deviation {dev:.3e} exceeds "
-            f"{tol:.1e} * {scale:.3e}", deviation=dev)
+            f"{name} is not hermitian: deviation {excess[0]:.3e} exceeds "
+            f"{tol:.1e} * {excess[1]:.3e}", deviation=excess[0])
     return a
 
 
@@ -118,10 +133,10 @@ class EigenDecomposition:
     hermitian: bool
 
 
-def hermitian_eig(a: np.ndarray, *, herm_tol: float = 1e-10) -> EigenDecomposition:
-    """Eigendecomposition of a hermitian matrix, values ascending."""
+def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a matrix hermitian to ``HERM_TOL``, ascending."""
     a = _require_square(as_matrix(a))
-    require_hermitian(a, tol=herm_tol)
+    require_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
@@ -150,18 +165,18 @@ def general_eig(a: np.ndarray, *, cond_limit: float = 1e12) -> EigenDecompositio
                               hermitian=False)
 
 
-def sqrt_posdef(a: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
+def sqrt_posdef(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive definite matrix."""
-    ed = hermitian_eig(a, herm_tol=herm_tol)
+    ed = hermitian_eig(a)
     if ed.values[0] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
     return hermitize((ed.vectors * np.sqrt(ed.values)) @ ed.vectors.conj().T)
 
 
-def inv_sqrt_posdef(a: np.ndarray, *, herm_tol: float = 1e-10) -> np.ndarray:
+def inv_sqrt_posdef(a: np.ndarray) -> np.ndarray:
     """Hermitian inverse square root of a positive definite matrix."""
-    ed = hermitian_eig(a, herm_tol=herm_tol)
+    ed = hermitian_eig(a)
     if ed.values[0] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
@@ -193,25 +208,23 @@ def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
     return fast.vectors @ (mixed / denom) @ slow.vectors.conj().T
 
 
-def expm(a: np.ndarray, *, herm_tol: float = 1e-10,
-         unitary_tol: float = 1e-11) -> np.ndarray:
+def expm(a: np.ndarray, *, unitary_tol: float = 1e-11) -> np.ndarray:
     """Matrix exponential with spectrally exact (anti)hermitian branches.
 
-    Hermitian and anti-hermitian inputs are exponentiated through an
-    eigendecomposition, which keeps the result exactly hermitian positive
-    definite or unitary up to rounding; anti-hermitian results are checked
-    for unitarity.  Everything else falls back to the scaling-and-squaring
-    exponential.
+    Inputs hermitian or anti-hermitian to ``HERM_TOL`` are exponentiated
+    through an eigendecomposition of their hermitized part, which keeps
+    the result exactly hermitian positive definite or unitary up to
+    rounding; anti-hermitian results are checked for unitarity.
+    Everything else falls back to the scaling-and-squaring exponential.
     """
     a = _require_square(as_matrix(a))
     n = a.shape[0]
-    scale = max(1.0, spectral_norm(a))
-    if spectral_norm(a - a.conj().T) <= herm_tol * scale:
-        ed = hermitian_eig(a, herm_tol=np.inf)
+    if _hermiticity_excess(a, HERM_TOL) is None:
+        ed = hermitian_eig(hermitize(a))
         return (ed.vectors * np.exp(ed.values)) @ ed.vectors.conj().T
-    if spectral_norm(a + a.conj().T) <= herm_tol * scale:
+    if _hermiticity_excess(a, HERM_TOL, a + a.conj().T) is None:
         # a = i*h with h hermitian, so exp(a) is unitary.
-        ed = hermitian_eig(hermitize(-1j * a), herm_tol=np.inf)
+        ed = hermitian_eig(hermitize(-1j * a))
         u = (ed.vectors * np.exp(1j * ed.values)) @ ed.vectors.conj().T
         defect = spectral_norm(u.conj().T @ u - np.eye(n))
         if defect > unitary_tol:

@@ -28,6 +28,8 @@ __all__ = [
 
 # Smallest min|lam| / max|lam| the fast block may have.
 RCOND_LIMIT = 1e-12
+# Hermiticity tolerance of the input, stricter than matrixkit.HERM_TOL.
+HERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,14 @@ class PartitionedHamiltonian:
         return out
 
 
-def partition_hamiltonian(matrix: np.ndarray, slow_indices, *,
-                          herm_tol: float = 1e-12) -> PartitionedHamiltonian:
+def partition_hamiltonian(matrix: np.ndarray,
+                          slow_indices) -> PartitionedHamiltonian:
     """Partition a hermitian matrix along the given slow indices.
 
     Parameters
     ----------
     matrix:
-        Square hermitian matrix (validated to ``herm_tol``).
+        Square hermitian matrix (validated to ``HERM_TOL``).
     slow_indices:
         Indices of the slow sector; the complement becomes the fast sector.
         Both sectors must be non-empty, and the fast block must be
@@ -122,10 +124,9 @@ def partition_hamiltonian(matrix: np.ndarray, slow_indices, *,
         or :class:`SingularFastBlock` is raised, because every elimination
         formula divides by it.
     """
-    h = matrixkit.as_matrix(matrix, "hamiltonian")
-    if h.shape[0] != h.shape[1]:
-        raise ShapeMismatch(f"hamiltonian must be square, got shape {h.shape}")
-    matrixkit.require_hermitian(h, tol=herm_tol, name="hamiltonian")
+    h = matrixkit._require_square(matrixkit.as_matrix(matrix, "hamiltonian"),
+                                  "hamiltonian")
+    matrixkit.require_hermitian(h, tol=HERM_TOL, name="hamiltonian")
     n = h.shape[0]
     slow = sorted({int(i) for i in slow_indices})
     for i in slow:

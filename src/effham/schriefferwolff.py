@@ -24,7 +24,7 @@ import numpy as np
 from . import matrixkit
 from .bloch import BlochEmbedding, embedding_from_matrix
 from .effective import EffectiveOperator
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, WidePrincipalAngle
 from .partition import PartitionedHamiltonian
 
 __all__ = [
@@ -94,7 +94,7 @@ def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenera
 def _tan_block(gen_block: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(gen_block, full_matrices=False)
     if s.size and s[0] >= 0.5 * np.pi:
-        raise ValueError("generator has a principal angle >= pi/2")
+        raise WidePrincipalAngle("generator has a principal angle >= pi/2")
     return (u * np.tan(s)) @ vh
 
 

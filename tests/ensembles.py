@@ -23,6 +23,12 @@ def random_hermitian(rng: np.random.Generator, n: int,
     return scale * h / norm
 
 
+def antihermitian_shift(rng: np.random.Generator, a: np.ndarray,
+                        size: float) -> np.ndarray:
+    """``a`` plus a random anti-hermitian matrix of spectral norm ``size``."""
+    return a + size * (1j * random_hermitian(rng, a.shape[0]))
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)

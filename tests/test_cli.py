@@ -177,6 +177,14 @@ def test_exit_code_for_singular_fast_block(tmp_path, capsys):
     assert "SingularFastBlock" in capsys.readouterr().err
 
 
+def test_exit_code_for_wide_principal_angle(tmp_path, capsys):
+    model = tmp_path / "strong.json"
+    assert main(["export", "--preset", "lambda", "--set", "rabi_a=8",
+                 "--set", "rabi_b=6", "--out", str(model)]) == 0
+    assert main(["solve", str(model), "--method", "sw"]) == 3
+    assert "WidePrincipalAngle" in capsys.readouterr().err
+
+
 def test_exit_code_for_floquet_resonance(tmp_path, capsys):
     # static splitting equal to twice the drive frequency: the shifted
     # copies collide and elimination must refuse

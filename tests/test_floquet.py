@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effham.errors import (
     ConvergenceFailure,
@@ -25,6 +26,7 @@ from effham.floquet import (
     restricted_inverse_series,
 )
 from effham.schriefferwolff import first_order_generator
+from ensembles import antihermitian_shift, random_hermitian
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -125,6 +127,41 @@ def test_fold_quasienergy_frozen_and_idempotent():
     assert fold_quasienergy(17.0, 10.0) == pytest.approx(-3.0)
     with pytest.raises(ValueError):
         fold_quasienergy([1.0], 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       norm=st.sampled_from([0.2, 1.0, 40.0]),
+       ratio=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.05, 1.5, 3.0]))
+def test_spec_pair_check_matches_reference_formula(n, seed, norm, ratio):
+    # H_-1 is H_1^dagger moved off by ``ratio`` times 1e-10 * max(1, ||H_1||);
+    # each component is checked against its partner in insertion order.
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c *= norm / np.linalg.norm(c, 2)
+    comps = {0: random_hermitian(rng, n), 1: c,
+             -1: antihermitian_shift(rng, c.conj().T,
+                                     ratio * 1e-10 * max(1.0, norm))}
+    expected = None
+    for k, arr in comps.items():
+        dev = np.linalg.norm(arr.conj().T - comps[-k], 2)
+        if dev > 1e-10 * max(1.0, np.linalg.norm(arr, 2)):
+            expected = dev
+            break
+    if expected is None:
+        FloquetSpec(dim=n, drive_frequency=3.0, components=comps)
+    else:
+        with pytest.raises(NotHermitian) as info:
+            FloquetSpec(dim=n, drive_frequency=3.0, components=comps)
+        assert info.value.deviation == expected
+
+
+def test_monodromy_records_default_step_count():
+    spec = resonant_spec()
+    q = quasi_energies_monodromy(spec)
+    assert q.steps == 4096
+    assert np.array_equal(q.values,
+                          quasi_energies_monodromy(spec, steps=4096).values)
 
 
 def test_monodromy_matches_closed_form():

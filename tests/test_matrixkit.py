@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from effham import matrixkit as mk
 from effham.errors import (
@@ -13,7 +14,7 @@ from effham.errors import (
     ShapeMismatch,
     SpectraOverlap,
 )
-from ensembles import random_hermitian
+from ensembles import antihermitian_shift, random_hermitian
 
 
 def test_norms_known_values():
@@ -45,6 +46,27 @@ def test_require_hermitian_reports_deviation():
     with pytest.raises(NotHermitian) as info:
         mk.require_hermitian(bad)
     assert info.value.deviation == pytest.approx(0.1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       norm=st.sampled_from([0.2, 1.0, 40.0]),
+       ratio=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.05, 1.5, 3.0]),
+       tol=st.sampled_from([1e-12, 1e-10]))
+def test_require_hermitian_matches_reference_formula(n, seed, norm, ratio,
+                                                     tol):
+    # Exactly hermitian h, moved off hermiticity to ``ratio`` times the
+    # threshold tol * max(1, ||h||): both sides of it, and the exact case.
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n, norm)
+    a = antihermitian_shift(rng, h, 0.5 * ratio * tol * max(1.0, norm))
+    dev = np.linalg.norm(a - a.conj().T, 2)
+    if dev <= tol * max(1.0, np.linalg.norm(a, 2)):
+        assert mk.require_hermitian(a, tol=tol) is a
+    else:
+        with pytest.raises(NotHermitian) as info:
+            mk.require_hermitian(a, tol=tol)
+        assert info.value.deviation == dev
 
 
 def test_hermitian_eig_sorted_and_reconstructs():

@@ -7,7 +7,7 @@ import pytest
 from effham import matrixkit
 from effham.bloch import bloch_residual, iterate_bloch
 from effham.effective import hermitian_effective, second_order_hamiltonian
-from effham.errors import ShapeMismatch, SpectraOverlap
+from effham.errors import ShapeMismatch, SpectraOverlap, WidePrincipalAngle
 from effham.partition import PartitionedHamiltonian
 from effham.schriefferwolff import (
     SWGenerator,
@@ -81,7 +81,7 @@ def test_tanh_block_inverts_generator_construction():
 def test_tanh_block_rejects_wide_principal_angle():
     gen = SWGenerator(block=np.array([[2.0]]), rotation=np.eye(2),
                       order="first_order")
-    with pytest.raises(ValueError):
+    with pytest.raises(WidePrincipalAngle):
         tanh_block(gen)
 
 
