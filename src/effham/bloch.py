@@ -10,6 +10,13 @@ whose residual norm is the figure of merit used throughout.  This module
 provides the leading-order (adiabatic) solution, a fixed-point iteration,
 a perturbative series in inverse powers of the fast block, and an
 eigenvector-based exact solver used as an independent oracle.
+
+The solvers work in the eigenbasis of the fast block, ``fast_block =
+V diag(lam) V^dagger``.  With ``C = V^dagger coupling`` and ``X = V^dagger
+B`` the equation is ``lam X = rhs(X) = -C + X slow_block + X (C^dagger X)``:
+the inverse fast block is a division, and ``lam X - rhs(X)`` is a defect
+with the norm of the bare one, each O(q p^2).  Returned blocks and series
+terms are bare, and every reported residual is :func:`bloch_residual`.
 """
 from __future__ import annotations
 
@@ -61,6 +68,13 @@ def _check_block(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarra
     return cand
 
 
+def _eig_rhs(ph: PartitionedHamiltonian, block: np.ndarray) -> np.ndarray:
+    """``rhs(X)`` of the block equation in the fast eigenbasis (module
+    docstring); the defect of ``X`` is ``lam X - rhs(X)``."""
+    c = ph.eig_coupling
+    return -c + block @ ph.slow_block + block @ (c.conj().T @ block)
+
+
 def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map whose fixed points solve
     the block equation.
@@ -69,9 +83,9 @@ def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     + B @ coupling^dagger @ B)``.
     """
     cand = _check_block(ph, candidate)
-    rhs = (-ph.coupling + cand @ ph.slow_block
-           + cand @ ph.coupling.conj().T @ cand)
-    return ph.solve_fast(rhs)
+    ed = ph.fast_eig
+    rhs = _eig_rhs(ph, ed.vectors.conj().T @ cand)
+    return ed.vectors @ (rhs / ed.values[:, None])
 
 
 def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
@@ -85,7 +99,8 @@ def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
 
 def adiabatic_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:
     """Leading-order embedding ``-fast_block^-1 @ coupling``."""
-    block = -ph.solve_fast(ph.coupling)
+    ed = ph.fast_eig
+    block = -(ed.vectors @ (ph.eig_coupling / ed.values[:, None]))
     return BlochEmbedding(matrix=block, residual=bloch_residual(ph, block),
                           method="adiabatic", order_or_iterations=0)
 
@@ -99,6 +114,11 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
     :func:`bloch_map` until the residual is at or below ``tol``, an absolute
     threshold, capped at ``max_iter`` sweeps.
 
+    Sweeps run in the fast eigenbasis (module docstring); one right-hand
+    side per sweep gives the next iterate and the defect of the current
+    one, which decides convergence and the guards below.  The reported
+    ``residual`` is the bare :func:`bloch_residual` of the result.
+
     Raises
     ------
     Diverged
@@ -110,32 +130,33 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
         reached is returned instead, which is how fixed-depth iterates
         for diagnostics are produced.
     """
-    block = (adiabatic_embedding(ph).matrix if seed is None
-             else _check_block(ph, seed).copy())
-    initial = bloch_residual(ph, block)
-    resid = initial
+    ed = ph.fast_eig
+    lam = ed.values[:, None]
+    start = None if seed is None else _check_block(ph, seed).copy()
+    block = (-(ph.eig_coupling / lam) if start is None
+             else ed.vectors.conj().T @ start)
+    rhs = _eig_rhs(ph, block)
+    initial = resid = matrixkit.spectral_norm(lam * block - rhs)
     done = 0
-    if resid <= tol:
-        return BlochEmbedding(matrix=block, residual=resid, method="iterative",
-                              order_or_iterations=0)
-    for step in range(1, max_iter + 1):
-        block = bloch_map(ph, block)
+    while resid > tol:
+        if done >= max_iter:
+            if require_convergence:
+                raise ConvergenceFailure(
+                    f"residual {resid:.3e} above {tol:.1e} after {max_iter} sweeps")
+            break
+        done += 1
+        block = rhs / lam
         if not np.all(np.isfinite(block)):
-            raise Diverged(f"iteration produced non-finite entries at sweep {step}")
-        resid = bloch_residual(ph, block)
-        done = step
+            raise Diverged(f"iteration produced non-finite entries at sweep {done}")
+        rhs = _eig_rhs(ph, block)
+        resid = matrixkit.spectral_norm(lam * block - rhs)
         if resid > 1e6 * initial:
             raise Diverged(
                 f"residual grew to {resid:.3e} from {initial:.3e} "
-                f"at sweep {step}")
-        if resid <= tol:
-            break
-    else:
-        if require_convergence:
-            raise ConvergenceFailure(
-                f"residual {resid:.3e} above {tol:.1e} after {max_iter} sweeps")
-    return BlochEmbedding(matrix=block, residual=resid, method="iterative",
-                          order_or_iterations=done)
+                f"at sweep {done}")
+    matrix = start if done == 0 and start is not None else ed.vectors @ block
+    return BlochEmbedding(matrix=matrix, residual=bloch_residual(ph, matrix),
+                          method="iterative", order_or_iterations=done)
 
 
 def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding:
@@ -147,22 +168,26 @@ def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding
         term[k+1] = fast_block^-1 (term[k] @ slow_block
                     + sum_{l=1}^{k-1} term[k-l] @ coupling^dagger @ term[l]).
 
-    Returns the embedding summing terms 1..``order`` with the terms kept
-    for scaling diagnostics.
+    The terms are built in the fast eigenbasis and converted to bare
+    coordinates together, by one product.  Returns the embedding summing
+    terms 1..``order`` with the terms kept for scaling diagnostics.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    coupling_t = ph.coupling.conj().T
-    terms: list[np.ndarray] = [-ph.solve_fast(ph.coupling)]
+    ed = ph.fast_eig
+    lam = ed.values[:, None]
+    coupling_t = ph.eig_coupling.conj().T
+    terms: list[np.ndarray] = [-(ph.eig_coupling / lam)]
     for k in range(1, order):
         rhs = terms[k - 1] @ ph.slow_block
         for l in range(1, k):
-            rhs = rhs + terms[k - l - 1] @ coupling_t @ terms[l - 1]
-        terms.append(ph.solve_fast(rhs))
-    total = np.sum(terms, axis=0)
+            rhs = rhs + terms[k - l - 1] @ (coupling_t @ terms[l - 1])
+        terms.append(rhs / lam)
+    bare = ed.vectors @ np.stack(terms)
+    total = np.sum(bare, axis=0)
     return BlochEmbedding(matrix=total, residual=bloch_residual(ph, total),
                           method="perturbative", order_or_iterations=order,
-                          terms=tuple(terms))
+                          terms=tuple(bare))
 
 
 def exact_embedding(ph: PartitionedHamiltonian, *,

@@ -218,14 +218,15 @@ DRIVEN_QUBIT_DEFAULTS = {"drive_frequency": 10.0, "coupling": 1.0 + 0.0j,
                          "detuning": 0.0}
 
 
+def _with_overrides(defaults: dict, params: dict | None, what: str) -> dict:
+    unknown = set(params or {}) - set(defaults)
+    if unknown:
+        raise ModelFormatError(f"unknown {what} parameters: {sorted(unknown)}")
+    return {**defaults, **(params or {})}
+
+
 def lambda_model_dict(params: dict | None = None) -> dict:
-    p = dict(LAMBDA_DEFAULTS)
-    if params:
-        unknown = set(params) - set(p)
-        if unknown:
-            raise ModelFormatError(
-                f"unknown three-level parameters: {sorted(unknown)}")
-        p.update(params)
+    p = _with_overrides(LAMBDA_DEFAULTS, params, "three-level")
     return {"lambda_system": {
         "detuning": float(np.real(p["detuning"])),
         "gap": float(np.real(p["gap"])),
@@ -235,13 +236,7 @@ def lambda_model_dict(params: dict | None = None) -> dict:
 
 
 def driven_qubit_dict(params: dict | None = None) -> dict:
-    p = dict(DRIVEN_QUBIT_DEFAULTS)
-    if params:
-        unknown = set(params) - set(p)
-        if unknown:
-            raise ModelFormatError(
-                f"unknown driven-qubit parameters: {sorted(unknown)}")
-        p.update(params)
+    p = _with_overrides(DRIVEN_QUBIT_DEFAULTS, params, "driven-qubit")
     g = complex(p["coupling"])
     delta = float(np.real(p["detuning"]))
     comps = {
@@ -522,23 +517,16 @@ def _generator_series(model: Model, token: str, psi0: np.ndarray, times):
         return evolve_constant(model.hamiltonian, state, times, kind="exact")
     if token == "adiabatic":
         op = adiabatic_hamiltonian(ph)
-        return evolve_constant(op.matrix, slow_state, times, kind=token)
-    if token == "second":
+    elif token == "second":
         op = second_order_hamiltonian(ph)
-        return evolve_constant(op.matrix, slow_state, times, kind=token)
-    if token == "sw":
+    elif token == "sw":
         op = sw_first_order_hamiltonian(ph)
-        return evolve_constant(op.matrix, slow_state, times, kind=token)
-    if token.startswith("iterate"):
-        sweeps = int(match.group(2))
-        be = iterate_bloch(ph, tol=0.0, max_iter=sweeps,
+    else:
+        be = iterate_bloch(ph, tol=0.0, max_iter=int(match[2] or match[3]),
                            require_convergence=False)
-        op = nonhermitian_effective(ph, be)
-        return evolve_constant(op.matrix, slow_state, times, kind=token)
-    sweeps = int(match.group(3))
-    be = iterate_bloch(ph, tol=0.0, max_iter=sweeps,
-                       require_convergence=False)
-    op = hermitian_effective(ph, be)
+        effective = (nonhermitian_effective if token.startswith("iterate")
+                     else hermitian_effective)
+        op = effective(ph, be)
     return evolve_constant(op.matrix, slow_state, times, kind=token)
 
 
@@ -610,6 +598,8 @@ def cmd_simulate(args) -> int:
 
 
 _PERTURB = re.compile(r"^perturb(\d+)$")
+_EFFECTIVE_ROUTES = {"adiabatic": "adiabatic", "sw": "sw_first",
+                     "iterate": "iterate"}
 
 
 def _quasi_for(token: str, spec: FloquetSpec, steps, cutoff):
@@ -617,12 +607,9 @@ def _quasi_for(token: str, spec: FloquetSpec, steps, cutoff):
         return quasi_energies_monodromy(spec, steps)
     if token == "diag":
         return quasi_energies_diag(spec, cutoff)
-    if token == "adiabatic":
-        return quasi_energies_effective(spec, "adiabatic", cutoff=cutoff)
-    if token == "sw":
-        return quasi_energies_effective(spec, "sw_first", cutoff=cutoff)
-    if token == "iterate":
-        return quasi_energies_effective(spec, "iterate", cutoff=cutoff)
+    if token in _EFFECTIVE_ROUTES:
+        return quasi_energies_effective(spec, _EFFECTIVE_ROUTES[token],
+                                        cutoff=cutoff)
     match = _PERTURB.match(token)
     if match:
         return quasi_energies_effective(
@@ -636,17 +623,21 @@ def _quasi_for(token: str, spec: FloquetSpec, steps, cutoff):
     raise ModelFormatError(f"unknown quasi-energy method {token!r}")
 
 
+def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
+    """Quasi-energies per token and their largest deviation from the first."""
+    rows = [_quasi_for(token, spec, steps, cutoff).values for token in tokens]
+    return [(values, float(np.max(np.abs(values - rows[0]))))
+            for values in rows]
+
+
 def _scaled_spec(spec: FloquetSpec, name: str, value: float) -> FloquetSpec:
-    comps = {k: m.copy() for k, m in spec.components.items()}
-    freq = spec.drive_frequency
+    freq, comps = spec.drive_frequency, dict(spec.components)
     if name == "drive_frequency":
         freq = float(value)
-    elif name == "scale":
-        comps = {k: (m * value if k != 0 else m.copy())
-                 for k, m in spec.components.items()}
-    elif name == "h0_scale":
-        comps = {k: (m * value if k == 0 else m.copy())
-                 for k, m in spec.components.items()}
+    elif name in ("scale", "h0_scale"):
+        # "scale" multiplies the drive harmonics, "h0_scale" the static part.
+        comps = {k: m * value if (k == 0) == (name == "h0_scale") else m
+                 for k, m in comps.items()}
     else:
         raise ModelFormatError(f"unknown sweep parameter {name!r}")
     return FloquetSpec(dim=spec.dim, drive_frequency=freq, components=comps)
@@ -662,17 +653,12 @@ def cmd_floquet(args) -> int:
         raise ModelFormatError("no methods requested")
     d = spec.dim
     if args.sweep is None:
-        ref = None
         lines = [_csv_line(["method"] + [f"q_{i}" for i in range(d)]
                            + ["max_dev"])]
-        for token in tokens:
-            qs = _quasi_for(token, spec, args.steps, args.cutoff)
-            if ref is None:
-                ref = qs.values
-            dev = float(np.max(np.abs(qs.values - ref)))
-            cells = [token] + [_fmt_cell(x) for x in qs.values]
-            cells.append(_fmt_cell(dev))
-            lines.append(_csv_line(cells))
+        rows = _quasi_rows(tokens, spec, args.steps, args.cutoff)
+        for token, (values, dev) in zip(tokens, rows):
+            lines.append(_csv_line([token] + [_fmt_cell(x) for x in values]
+                                   + [_fmt_cell(dev)]))
         _write_text(args.out, "".join(lines))
         return 0
     name, values = _parse_sweep(args.sweep)
@@ -684,13 +670,8 @@ def cmd_floquet(args) -> int:
     for value in values:
         swept = _scaled_spec(spec, name, float(value))
         cells = [_fmt_cell(value)]
-        ref = None
-        for token in tokens:
-            qs = _quasi_for(token, swept, args.steps, args.cutoff)
-            if ref is None:
-                ref = qs.values
-            cells += [_fmt_cell(x) for x in qs.values]
-            cells.append(_fmt_cell(float(np.max(np.abs(qs.values - ref)))))
+        for qs, dev in _quasi_rows(tokens, swept, args.steps, args.cutoff):
+            cells += [_fmt_cell(x) for x in qs] + [_fmt_cell(dev)]
         lines.append(_csv_line(cells))
     _write_text(args.out, "".join(lines))
     return 0

@@ -128,11 +128,9 @@ def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
         steppers: dict[float, np.ndarray] = {}
         for i, dt in enumerate(gaps):
             if dt != 0.0:
-                u = steppers.get(dt)
-                if u is None:
-                    u = matrixkit.expm(-1j * a * dt)
-                    steppers[dt] = u
-                psi = u @ psi
+                if dt not in steppers:
+                    steppers[dt] = matrixkit.expm(-1j * a * dt)
+                psi = steppers[dt] @ psi
             amps[i + 1] = psi
         label = kind or "nonhermitian_constant"
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,
@@ -144,7 +142,8 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
     """Evolve a state under a periodic generator from ``t = 0``.
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
-    ``substeps_per_period`` substeps per drive period; sample times must be
+    ``substeps_per_period`` substeps per drive period, and exactly that
+    many over a whole period between samples; sample times must be
     non-negative and non-decreasing.  Raises :class:`NonUnitaryStep` if the
     state norm drifts from its initial value by more than 1e-8.
     """
@@ -167,7 +166,8 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
     for i, target in enumerate(t):
         gap = target - current
         if gap > 0.0:
-            count = int(max(1, np.ceil(gap / nominal)))
+            # A whole period keeps substeps_per_period despite rounding.
+            count = int(max(1, np.ceil(gap / nominal - 1e-9)))
             for u in _substep_unitaries(spec, current, target, count):
                 psi = u @ psi
             current = target

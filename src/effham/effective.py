@@ -60,7 +60,8 @@ def _source(embedding: BlochEmbedding | np.ndarray, prefix: str) -> str:
 def adiabatic_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     """Leading-order elimination
     ``slow_block - coupling^dagger @ fast_block^-1 @ coupling``."""
-    shift = ph.coupling.conj().T @ ph.solve_fast(ph.coupling)
+    c = ph.eig_coupling
+    shift = c.conj().T @ (c / ph.fast_eig.values[:, None])
     return EffectiveOperator(matrix=matrixkit.hermitize(ph.slow_block - shift),
                              hermitian=True, source="adiabatic")
 
@@ -99,12 +100,11 @@ def hermitian_effective(ph: PartitionedHamiltonian,
     core = (ph.slow_block + ph.coupling.conj().T @ block
             + block.conj().T @ ph.coupling
             + block.conj().T @ ph.fast_block @ block)
-    gram = np.eye(p) + block.conj().T @ block
-    inv_root = matrixkit.inv_sqrt_posdef(gram)
+    root, inv_root = matrixkit.posdef_roots(np.eye(p) + block.conj().T @ block)
     matrix = matrixkit.hermitize(inv_root @ matrixkit.hermitize(core) @ inv_root)
     return EffectiveOperator(matrix=matrix, hermitian=True,
                              source=_source(embedding, "hermitian"),
-                             norm_factor=matrixkit.sqrt_posdef(gram))
+                             norm_factor=root)
 
 
 def second_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
@@ -114,10 +114,11 @@ def second_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     ``-(1/2) (coupling^dagger fast_block^-2 coupling @ slow_block + h.c.)``,
     one more order in the inverse fast block.
     """
-    inv_coupling = ph.solve_fast(ph.coupling)
-    inv2_coupling = ph.solve_fast(inv_coupling)
-    first = ph.slow_block - ph.coupling.conj().T @ inv_coupling
-    weight = ph.coupling.conj().T @ inv2_coupling
+    c = ph.eig_coupling
+    lam = ph.fast_eig.values[:, None]
+    inv_c = c / lam
+    first = ph.slow_block - c.conj().T @ inv_c
+    weight = c.conj().T @ (inv_c / lam)
     matrix = first - 0.5 * (weight @ ph.slow_block + ph.slow_block @ weight)
     return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
                              hermitian=True, source="second_order")

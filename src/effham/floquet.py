@@ -210,13 +210,8 @@ def floquet_partition(tfo: TruncatedFloquetOperator) -> PartitionedHamiltonian:
     except SingularFastBlock as exc:
         central = matrixkit.hermitian_eig(tfo.block(0, 0)).values
         w = tfo.drive_frequency
-        best_m, best_gap = 0, np.inf
-        for m in tfo.harmonics:
-            if m == 0:
-                continue
-            gap = float(np.min(np.abs(central - m * w)))
-            if gap < best_gap:
-                best_m, best_gap = m, gap
+        best_gap, best_m = min((float(np.min(np.abs(central - m * w))), m)
+                               for m in tfo.harmonics if m != 0)
         raise SingularFastBlock(
             f"fast sector is resonant: zero-harmonic spectrum approaches "
             f"harmonic {best_m} within {best_gap:.3e}",

@@ -31,8 +31,7 @@ __all__ = [
     "require_hermitian",
     "hermitian_eig",
     "general_eig",
-    "inv_sqrt_posdef",
-    "sqrt_posdef",
+    "posdef_roots",
     "sylvester_solve",
     "expm",
     "pair_eigenvalues",
@@ -165,22 +164,16 @@ def general_eig(a: np.ndarray, *, cond_limit: float = 1e12) -> EigenDecompositio
                               hermitian=False)
 
 
-def sqrt_posdef(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive definite matrix."""
+def posdef_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian square root and inverse square root of a positive definite
+    matrix, both from one eigendecomposition."""
     ed = hermitian_eig(a)
     if ed.values[0] <= 0.0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
-    return hermitize((ed.vectors * np.sqrt(ed.values)) @ ed.vectors.conj().T)
-
-
-def inv_sqrt_posdef(a: np.ndarray) -> np.ndarray:
-    """Hermitian inverse square root of a positive definite matrix."""
-    ed = hermitian_eig(a)
-    if ed.values[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
-    return hermitize((ed.vectors / np.sqrt(ed.values)) @ ed.vectors.conj().T)
+    root = np.sqrt(ed.values)
+    return (hermitize((ed.vectors * root) @ ed.vectors.conj().T),
+            hermitize((ed.vectors / root) @ ed.vectors.conj().T))
 
 
 def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,

@@ -40,6 +40,8 @@ class PartitionedHamiltonian:
     ``fast_block`` the q x q restriction to the fast sector, and
     ``coupling`` the q x p block mapping slow components to fast ones.
     Index tuples record where each sector lives in the original matrix.
+    The fast eigendecomposition ``V diag(lam) V^dagger`` (:attr:`fast_eig`)
+    and ``V^dagger coupling`` (:attr:`eig_coupling`) are cached on first use.
     """
 
     slow_block: np.ndarray
@@ -80,10 +82,11 @@ class PartitionedHamiltonian:
         return matrixkit.EigenDecomposition(values=values, vectors=vectors,
                                             hermitian=True)
 
-    def solve_fast(self, rhs: np.ndarray) -> np.ndarray:
-        """``fast_block^-1 @ rhs`` (q x k) as ``V ((V^dagger rhs) / lam)``."""
-        ed = self.fast_eig
-        return ed.vectors @ ((ed.vectors.conj().T @ rhs) / ed.values[:, None])
+    @cached_property
+    def eig_coupling(self) -> np.ndarray:
+        """Coupling in the fast eigenbasis, ``V^dagger @ coupling``, computed
+        once; ``fast_block^-1 @ coupling`` is ``V (eig_coupling / lam)``."""
+        return self.fast_eig.vectors.conj().T @ self.coupling
 
     @property
     def block_matrix(self) -> np.ndarray:

@@ -62,11 +62,10 @@ class SWGenerator:
         return out
 
 
-def rotation_from_block(block: np.ndarray) -> np.ndarray:
-    """Closed-form decoupling unitary for an embedding block."""
-    b = np.asarray(block, dtype=complex)
+def _rotation_from_svd(b: np.ndarray, u: np.ndarray, s: np.ndarray,
+                       vh: np.ndarray) -> np.ndarray:
+    """Closed-form decoupling unitary for ``b`` given its thin SVD."""
     q, p = b.shape
-    u, s, vh = np.linalg.svd(b, full_matrices=False)
     shrink = 1.0 / np.sqrt(1.0 + s * s) - 1.0
     slow_norm = np.eye(p) + (vh.conj().T * shrink) @ vh
     fast_norm = np.eye(q) + (u * shrink) @ u.conj().T
@@ -78,17 +77,23 @@ def rotation_from_block(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotation_from_block(block: np.ndarray) -> np.ndarray:
+    """Closed-form decoupling unitary for an embedding block."""
+    b = np.asarray(block, dtype=complex)
+    return _rotation_from_svd(b, *np.linalg.svd(b, full_matrices=False))
+
+
 def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenerator:
     """Generator whose rotation block-diagonalizes along the embedding.
 
     Applies ``arctan`` to the singular values of the embedding block; the
-    rotation itself is assembled in closed form from the block.
+    rotation itself is assembled in closed form from the same thin SVD.
     """
-    b = (embedding.matrix if isinstance(embedding, BlochEmbedding)
-         else np.asarray(embedding, dtype=complex))
+    b = np.asarray(embedding.matrix if isinstance(embedding, BlochEmbedding)
+                   else embedding, dtype=complex)
     u, s, vh = np.linalg.svd(b, full_matrices=False)
-    gen = (u * np.arctan(s)) @ vh
-    return SWGenerator(block=gen, rotation=rotation_from_block(b), order="exact")
+    return SWGenerator(block=(u * np.arctan(s)) @ vh,
+                       rotation=_rotation_from_svd(b, u, s, vh), order="exact")
 
 
 def _tan_block(gen_block: np.ndarray) -> np.ndarray:

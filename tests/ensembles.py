@@ -65,6 +65,28 @@ def make_partition(rng: np.random.Generator, p: int, q: int, eps: float,
         slow_indices=tuple(range(p)), fast_indices=tuple(range(p, p + q)))
 
 
+def fast_block_ensemble():
+    """Seeded partitions with p 1-4, q 1-8 and three coupling-scale pairs,
+    then the same p and pairs at q = 64, followed by the frozen scaling
+    instance."""
+    rng = np.random.default_rng(31)
+    pairs = ((0.02, 0.05), (0.2, 0.3), (0.45, 0.25))
+    for p in range(1, 5):
+        for q in range(1, 9):
+            for eps, eps_prime in pairs:
+                yield make_partition(rng, p, q, eps, eps_prime,
+                                     gap=float(rng.uniform(0.5, 4.0)))
+    for p in range(1, 5):
+        for eps, eps_prime in pairs:
+            yield make_partition(rng, p, 64, eps, eps_prime,
+                                 gap=float(rng.uniform(0.5, 4.0)))
+    yield scaling_instance()
+
+
+def rel_err(got, ref) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
 def scaling_instance() -> PartitionedHamiltonian:
     """Frozen random 3+3 instance used for inverse-gap scaling tests."""
     rng = np.random.default_rng(7)

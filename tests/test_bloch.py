@@ -1,6 +1,8 @@
 """Decoupling-block solvers: fixed-point iteration and power series."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from effham.bloch import (
 from effham.errors import ConvergenceFailure, Diverged, OracleAmbiguous
 from effham.partition import PartitionedHamiltonian, partition_hamiltonian
 from effham.schriefferwolff import first_order_generator, tanh_block
-from ensembles import lambda_partition, make_partition, scale_fast, scaling_instance
+from ensembles import (
+    fast_block_ensemble,
+    lambda_partition,
+    make_partition,
+    rel_err,
+    scale_fast,
+    scaling_instance,
+)
 
 
 def test_adiabatic_embedding_frozen_residual():
@@ -150,3 +159,81 @@ def test_iterate_bloch_on_random_ensemble():
         be = iterate_bloch(ph)
         assert be.residual <= 1e-12
         assert np.linalg.norm(bloch_map(ph, be.matrix) - be.matrix) < 1e-11
+
+
+# Reference formulas in bare coordinates, with dense solves of the fast block.
+
+def _bare_rhs(ph, b):
+    return -ph.coupling + b @ ph.slow_block + b @ ph.coupling.conj().T @ b
+
+
+def _bare_iterate(ph, tol=1e-12):
+    block = -np.linalg.solve(ph.fast_block, ph.coupling)
+    sweeps = 0
+    while bloch_residual(ph, block) > tol:
+        block = np.linalg.solve(ph.fast_block, _bare_rhs(ph, block))
+        sweeps += 1
+    return block, sweeps
+
+
+def _bare_series(ph, order):
+    terms = [-np.linalg.solve(ph.fast_block, ph.coupling)]
+    for k in range(1, order):
+        rhs = terms[k - 1] @ ph.slow_block
+        for l in range(1, k):
+            rhs = rhs + terms[k - l - 1] @ ph.coupling.conj().T @ terms[l - 1]
+        terms.append(np.linalg.solve(ph.fast_block, rhs))
+    return terms
+
+
+def test_iterate_bloch_matches_bare_iteration():
+    for ph in fast_block_ensemble():
+        ref, sweeps = _bare_iterate(ph)
+        be = iterate_bloch(ph)
+        assert be.order_or_iterations == sweeps
+        assert rel_err(be.matrix, ref) < 1e-12
+        assert be.residual == bloch_residual(ph, be.matrix)
+
+
+def test_perturbative_terms_match_bare_series():
+    for ph in fast_block_ensemble():
+        series = perturbative_bloch(ph, 5)
+        for got, ref in zip(series.terms, _bare_series(ph, 5), strict=True):
+            assert rel_err(got, ref) < 1e-12
+        assert series.residual == bloch_residual(ph, series.matrix)
+        adiabatic = adiabatic_embedding(ph)
+        assert rel_err(adiabatic.matrix, _bare_series(ph, 1)[0]) < 1e-12
+        assert adiabatic.residual == bloch_residual(ph, adiabatic.matrix)
+
+
+class _CountingArray(np.ndarray):
+    """Counts the matrix products that take it as an operand; elementwise
+    results such as its conjugate keep counting."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingArray) else x
+                 for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            _CountingArray.products += 1
+            return out
+        return out.view(_CountingArray) if isinstance(out, np.ndarray) else out
+
+
+def test_sweeps_take_no_product_with_a_fast_sized_operand():
+    base = make_partition(np.random.default_rng(43), 3, 32, 0.2, 0.2)
+    counts = []
+    for max_iter in (3, 12):
+        ph = dataclasses.replace(
+            base, fast_block=base.fast_block.view(_CountingArray))
+        ed = base.fast_eig
+        ph.__dict__["fast_eig"] = dataclasses.replace(
+            ed, vectors=ed.vectors.view(_CountingArray))
+        _CountingArray.products = 0
+        be = iterate_bloch(ph, tol=0.0, max_iter=max_iter,
+                           require_convergence=False)
+        assert be.order_or_iterations == max_iter
+        counts.append(_CountingArray.products)
+    assert counts[0] == counts[1] > 0

@@ -20,7 +20,12 @@ from effham.errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from effham.floquet import FloquetSpec, monodromy
+from effham.floquet import (
+    FloquetSpec,
+    _ordered_product,
+    _substep_unitaries,
+    monodromy,
+)
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -101,6 +106,20 @@ def test_periodic_strobe_matches_monodromy_powers():
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-10
         psi = u @ psi
     assert series.generator_kind == "periodic"
+
+
+def test_periodic_whole_periods_take_the_nominal_substeps():
+    # At w = 7.3, rounding in k*T - (k-1)*T once asked for 257 substeps.
+    spec = FloquetSpec(dim=2, drive_frequency=7.3,
+                       components={-1: 2.0 * SP, 0: 0.7 * SX, 1: 2.0 * SM})
+    state = StateVector(np.array([0.6, 0.8j]))
+    strobe = np.arange(17) * spec.period
+    series = evolve_periodic(spec, state, strobe, substeps_per_period=256)
+    u = _ordered_product(_substep_unitaries(spec, 0.0, spec.period, 256))
+    psi = state.amplitudes.copy()
+    for k in range(17):
+        assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-12
+        psi = u @ psi
 
 
 def test_periodic_with_static_drive_matches_constant():

@@ -15,7 +15,8 @@ from effham.effective import (
 )
 from effham.errors import ShapeMismatch, ZeroVector
 from effham.partition import PartitionedHamiltonian
-from ensembles import lambda_partition, make_partition
+from effham import matrixkit
+from ensembles import fast_block_ensemble, lambda_partition, make_partition, rel_err
 
 FULL_EIGS = (-0.05790167391504361, -0.0012484394101993715, 1.0591501133252428)
 
@@ -121,3 +122,48 @@ def test_pair_spectra_orders_by_distance():
     worst = pair_spectra(np.array([1.0, 5.0]),
                          np.array([5.0 + 1e-3, 1.0 - 1e-3]))
     assert worst == pytest.approx(1e-3)
+
+
+def test_eliminations_match_bare_formulas():
+    for ph in fast_block_ensemble():
+        inv_c = np.linalg.solve(ph.fast_block, ph.coupling)
+        inv2_c = np.linalg.solve(ph.fast_block, inv_c)
+        first = ph.slow_block - ph.coupling.conj().T @ inv_c
+        weight = ph.coupling.conj().T @ inv2_c
+        second = first - 0.5 * (weight @ ph.slow_block + ph.slow_block @ weight)
+        assert rel_err(adiabatic_hamiltonian(ph).matrix,
+                       matrixkit.hermitize(first)) < 1e-12
+        assert rel_err(second_order_hamiltonian(ph).matrix,
+                       matrixkit.hermitize(second)) < 1e-12
+
+
+def test_gram_roots_come_from_one_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(17)
+    p, q = 3, 6
+    ph = make_partition(rng, p, q, 0.2, 0.3)
+    ph.fast_eig
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for _ in range(5):
+        b = rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p))
+        shapes.clear()
+        op = hermitian_effective(ph, b)
+        assert shapes == [(p, p)]
+        # The two-call formulas: one eigendecomposition per root.
+        gram = np.eye(p) + b.conj().T @ b
+        vals, vecs = eigh(gram)
+        root = matrixkit.hermitize((vecs * np.sqrt(vals)) @ vecs.conj().T)
+        vals, vecs = eigh(gram)
+        inv_root = matrixkit.hermitize((vecs / np.sqrt(vals)) @ vecs.conj().T)
+        core = (ph.slow_block + ph.coupling.conj().T @ b
+                + b.conj().T @ ph.coupling + b.conj().T @ ph.fast_block @ b)
+        matrix = matrixkit.hermitize(
+            inv_root @ matrixkit.hermitize(core) @ inv_root)
+        assert rel_err(op.matrix, matrix) < 1e-14
+        assert rel_err(op.norm_factor, root) < 1e-14

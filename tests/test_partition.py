@@ -9,7 +9,12 @@ try:  # numpy >= 2: np.linalg.norm calls this module's svd directly
 except ImportError:  # numpy 1.x
     from numpy.linalg import linalg as linalg_impl
 
-from effham.bloch import iterate_bloch, perturbative_bloch
+from effham.bloch import (
+    adiabatic_embedding,
+    bloch_map,
+    iterate_bloch,
+    perturbative_bloch,
+)
 from effham.effective import adiabatic_hamiltonian, hermitian_effective
 from effham.errors import (
     EmptyPartition,
@@ -27,23 +32,13 @@ from effham.schriefferwolff import (
     generator_from_embedding,
     sw_first_order_hamiltonian,
 )
-from ensembles import lambda_partition, make_partition, scaling_instance
-
-
-def fast_block_ensemble():
-    """Seeded partitions with p 1-4, q 1-8 and several coupling scales,
-    followed by the frozen scaling instance."""
-    rng = np.random.default_rng(31)
-    for p in range(1, 5):
-        for q in range(1, 9):
-            for eps, eps_prime in ((0.02, 0.05), (0.2, 0.3), (0.45, 0.25)):
-                yield make_partition(rng, p, q, eps, eps_prime,
-                                     gap=float(rng.uniform(0.5, 4.0)))
-    yield scaling_instance()
-
-
-def rel_err(got, ref) -> float:
-    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+from ensembles import (
+    fast_block_ensemble,
+    lambda_partition,
+    make_partition,
+    rel_err,
+    scaling_instance,
+)
 
 
 def test_lambda_blocks():
@@ -147,14 +142,17 @@ def test_partition_rejects_rank_deficient_fast_block():
     assert info.value.condition > 1e12
 
 
-def test_solve_fast_matches_dense_solve():
+def test_fast_solves_match_dense_solve():
     rng = np.random.default_rng(37)
     for ph in fast_block_ensemble():
         q, p = ph.coupling.shape
-        rhs = rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p))
-        for b in (ph.coupling, rhs):
-            ref = np.linalg.solve(ph.fast_block, b)
-            assert rel_err(ph.solve_fast(b), ref) < 1e-12
+        b = rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p))
+        ref = -np.linalg.solve(ph.fast_block, ph.coupling)
+        assert rel_err(adiabatic_embedding(ph).matrix, ref) < 1e-12
+        rhs = (-ph.coupling + b @ ph.slow_block
+               + b @ ph.coupling.conj().T @ b)
+        ref = np.linalg.solve(ph.fast_block, rhs)
+        assert rel_err(bloch_map(ph, b), ref) < 1e-12
 
 
 def test_scales_and_gap_match_dense_inverse():
@@ -193,9 +191,12 @@ def test_fast_block_is_decomposed_once(monkeypatch):
     be = iterate_bloch(ph)
     hermitian_effective(ph, be)
     sw_first_order_hamiltonian(ph)
+    before_generator = len(seen)
     generator_from_embedding(be)
     assert [name for name, shape in seen if shape == (q, q)] == ["eigh"]
     assert [name for name, shape in seen if shape == (n, n)] == []
+    # One thin SVD of the block serves the generator and the rotation.
+    assert seen[before_generator:] == [("svd", (q, 4))]
 
 
 def test_coupling_scales_on_random_ensemble():
