@@ -93,7 +93,7 @@ def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
     """Norm of the block-equation defect of a candidate embedding."""
     cand = _check_block(ph, candidate)
     defect = (ph.coupling + ph.fast_block @ cand - cand @ ph.slow_block
-              - cand @ ph.coupling.conj().T @ cand)
+              - cand @ (ph.coupling.conj().T @ cand))
     return matrixkit.operator_norm(defect, norm)
 
 

@@ -3,7 +3,8 @@
 Constant generators are evolved exactly (hermitian ones through a single
 eigendecomposition, general ones through stepped exponentials); periodic
 generators are evolved with the same midpoint-sampled piecewise-constant
-scheme as the one-period propagator.  The analysis helpers extract
+scheme as the one-period propagator, and whole periods between samples
+reuse one cached one-period propagator.  The analysis helpers extract
 component populations, remove fast ripple with a moving average, and
 estimate the secular time shift between two slowly oscillating signals by
 pairing their interior maxima.
@@ -23,7 +24,7 @@ from .errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from .floquet import FloquetSpec, _substep_unitaries
+from .floquet import FloquetSpec, _propagator
 
 __all__ = [
     "StateVector",
@@ -142,10 +143,12 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
     """Evolve a state under a periodic generator from ``t = 0``.
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
-    ``substeps_per_period`` substeps per drive period, and exactly that
-    many over a whole period between samples; sample times must be
-    non-negative and non-decreasing.  Raises :class:`NonUnitaryStep` if the
-    state norm drifts from its initial value by more than 1e-8.
+    ``substeps_per_period`` substeps per drive period; sample times must be
+    non-negative and non-decreasing.  A gap of ``m`` whole periods between
+    period boundaries is advanced by ``U_T^m``, with ``U_T`` built once from
+    exactly ``substeps_per_period`` substeps; any other gap by the product
+    of its own substeps.  Raises :class:`NonUnitaryStep` if the state norm
+    drifts from its initial value by more than 1e-8.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
@@ -157,20 +160,30 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
     if t[0] < 0.0 or np.any(np.diff(t) < 0.0):
         raise ValueError("sample times must be non-negative and non-decreasing")
     nominal = spec.period / substeps_per_period
+    phase = t / spec.period
+    on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
     psi = state.amplitudes.copy()
     norm0 = float(np.linalg.norm(psi))
     if norm0 == 0.0:
         raise ZeroVector("cannot evolve a zero state")
     amps = np.empty((t.size, spec.dim), dtype=complex)
-    current = 0.0
+    u_period = None
+    current, from_boundary = 0.0, True
     for i, target in enumerate(t):
         gap = target - current
         if gap > 0.0:
             # A whole period keeps substeps_per_period despite rounding.
             count = int(max(1, np.ceil(gap / nominal - 1e-9)))
-            for u in _substep_unitaries(spec, current, target, count):
-                psi = u @ psi
-            current = target
+            whole, rest = divmod(count, substeps_per_period)
+            if rest == 0 and from_boundary and on_boundary[i]:
+                if u_period is None:
+                    u_period = _propagator(spec, 0.0, spec.period,
+                                           substeps_per_period)
+                for _ in range(whole):
+                    psi = u_period @ psi
+            else:
+                psi = _propagator(spec, current, target, count) @ psi
+            current, from_boundary = target, on_boundary[i]
         amps[i] = psi
         drift = abs(float(np.linalg.norm(psi)) / norm0 - 1.0)
         if drift > 1e-8:

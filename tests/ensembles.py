@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from effham.cli import LAMBDA_DEFAULTS, three_level_matrix
+from effham.floquet import FloquetSpec
 from effham.partition import PartitionedHamiltonian, partition_hamiltonian
 
 
@@ -105,3 +106,18 @@ def scale_fast(ph: PartitionedHamiltonian, s: float) -> PartitionedHamiltonian:
         slow_block=ph.slow_block, fast_block=s * ph.fast_block,
         coupling=ph.coupling, slow_indices=ph.slow_indices,
         fast_indices=ph.fast_indices)
+
+
+def drive_ensemble():
+    """Seeded periodic drives: d = 2, 4 and 8, each with one and with two
+    harmonics, drive frequencies in [7, 18] and order-one norms."""
+    rng = np.random.default_rng(53)
+    for d in (2, 4, 8):
+        for harmonics in (1, 2):
+            comps = {0: random_hermitian(rng, d, scale=rng.uniform(0.5, 2.0))}
+            for k in range(1, harmonics + 1):
+                c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                c *= rng.uniform(0.5, 2.0) / (k * np.linalg.norm(c, 2))
+                comps[k], comps[-k] = c, c.conj().T
+            yield FloquetSpec(dim=d, drive_frequency=float(rng.uniform(7.0, 18.0)),
+                              components=comps)

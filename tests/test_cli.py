@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import effham
 from effham import __version__
 from effham.cli import (
     _fmt_cell,
@@ -42,6 +46,17 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
     assert format_float(float("nan")) == '"nan"'
     assert format_float(float("inf")) == '"inf"'
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+def test_format_float_token_round_trips(x):
+    token = format_float(x)
+    assert float(token) == x
+    if x == 0.0:
+        assert token == "0"
 
 
 def test_json_and_csv_float_strings_pinned():
@@ -329,7 +344,12 @@ def test_subprocess_output_is_deterministic(tmp_path):
     model = write_lambda(tmp_path)
     cmd = [sys.executable, "-m", "effham.cli", "solve", model,
            "--method", "iterate"]
-    runs = [subprocess.run(cmd, capture_output=True, check=True)
+    # The child imports the same effham as this process, installed or not.
+    src = str(Path(effham.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env)
             for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.decode().startswith("{\n")

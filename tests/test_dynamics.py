@@ -20,12 +20,9 @@ from effham.errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from effham.floquet import (
-    FloquetSpec,
-    _ordered_product,
-    _substep_unitaries,
-    monodromy,
-)
+from effham import floquet
+from effham.floquet import FloquetSpec, _propagator, monodromy
+from ensembles import drive_ensemble
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -115,11 +112,64 @@ def test_periodic_whole_periods_take_the_nominal_substeps():
     state = StateVector(np.array([0.6, 0.8j]))
     strobe = np.arange(17) * spec.period
     series = evolve_periodic(spec, state, strobe, substeps_per_period=256)
-    u = _ordered_product(_substep_unitaries(spec, 0.0, spec.period, 256))
+    u = _propagator(spec, 0.0, spec.period, 256)
     psi = state.amplitudes.copy()
     for k in range(17):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-12
         psi = u @ psi
+
+
+def _substep_loop(spec, psi, times, substeps_per_period=256):
+    """Reference: each gap's midpoint exponentials from one batched eigh,
+    applied to the state one substep at a time."""
+    nominal = spec.period / substeps_per_period
+    out = []
+    current = 0.0
+    for target in times:
+        gap = target - current
+        if gap > 0.0:
+            count = int(max(1, np.ceil(gap / nominal - 1e-9)))
+            h = gap / count
+            mids = current + (np.arange(count) + 0.5) * h
+            vals, vecs = np.linalg.eigh(spec.hamiltonian_at(mids))
+            for lam, v in zip(vals, vecs):
+                psi = v @ (np.exp(-1j * lam * h) * (v.conj().T @ psi))
+            current = target
+        out.append(psi)
+    return np.array(out)
+
+
+def test_periodic_matches_the_substep_loop():
+    # Strobe grid, then a mixed grid: off-period samples, a repeated sample,
+    # gaps of three and two whole periods, and a gap from a boundary that
+    # takes 256 substeps but ends half a substep short of the next one.
+    mixed = np.array([0.0, 0.37, 1.0, 1.0, 4.0, 5.0 - 0.5 / 256, 5.25, 7.0,
+                      9.0])
+    for spec in drive_ensemble():
+        start = np.zeros(spec.dim, dtype=complex)
+        start[spec.dim - 1] = 1.0
+        for grid in (np.arange(17), mixed):
+            t = grid * spec.period
+            series = evolve_periodic(spec, StateVector(start), t)
+            ref = _substep_loop(spec, start, t)
+            assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
+
+
+def test_periodic_strobe_decomposes_one_period_once(monkeypatch):
+    spec = list(drive_ensemble())[2]
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
+    start = np.zeros(spec.dim, dtype=complex)
+    start[0] = 1.0
+    evolve_periodic(spec, StateVector(start), np.arange(17) * spec.period,
+                    substeps_per_period=256)
+    assert shapes == [(256, spec.dim, spec.dim)]
 
 
 def test_periodic_with_static_drive_matches_constant():

@@ -129,6 +129,21 @@ def test_fold_quasienergy_frozen_and_idempotent():
         fold_quasienergy([1.0], 0.0)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(w=st.floats(1e-2, 1e3), k=st.integers(-300, 300),
+       frac=st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-0.5, 0.5])),
+       ulps=st.integers(-3, 3))
+def test_fold_quasienergy_lands_in_zone_and_is_idempotent(w, k, frac, ulps):
+    # x sits ``frac`` of a zone from the centre of zone ``k``, moved by a few
+    # ulps, so zone edges (frac = +-0.5) are hit from both sides.
+    x = (k + frac) * w
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    folded = fold_quasienergy(x, w)
+    assert -0.5 * w < folded <= 0.5 * w
+    assert fold_quasienergy(folded, w) == folded
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        norm=st.sampled_from([0.2, 1.0, 40.0]),
@@ -162,6 +177,25 @@ def test_monodromy_records_default_step_count():
     assert q.steps == 4096
     assert np.array_equal(q.values,
                           quasi_energies_monodromy(spec, steps=4096).values)
+
+
+def test_monodromy_validates_once_and_records_unitarity_defect(monkeypatch):
+    spec = two_harmonic_spec()
+    bounds = []
+    norm_bound = FloquetSpec.norm_bound
+
+    def counting_bound(self):
+        bounds.append(self)
+        return norm_bound(self)
+
+    monkeypatch.setattr(FloquetSpec, "norm_bound", counting_bound)
+    q = quasi_energies_monodromy(spec, steps=4096)
+    assert len(bounds) == 1
+    u = monodromy(spec, steps=4096)
+    assert q.unitarity_defect == np.linalg.norm(
+        u.conj().T @ u - np.eye(spec.dim), 2)
+    assert 0.0 <= q.unitarity_defect <= 1e-8
+    assert quasi_energies_diag(spec, cutoff=8).unitarity_defect is None
 
 
 def test_monodromy_matches_closed_form():
