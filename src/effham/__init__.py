@@ -15,121 +15,17 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConvergenceFailure,
-    CutoffTooSmall,
-    DefectiveMatrix,
-    Diverged,
-    EmptyPartition,
-    IndexOutOfRange,
-    InsufficientPeaks,
-    NonUnitaryMonodromy,
-    NonUnitaryStep,
-    NotHermitian,
-    NotPositiveDefinite,
-    OracleAmbiguous,
-    SeriesDiverging,
-    ShapeMismatch,
-    SingularFastBlock,
-    SpectraOverlap,
-    ToolkitError,
-    WidePrincipalAngle,
-    WindowTooSmall,
-    ZeroVector,
-)
-from .partition import (
-    CouplingScales,
-    PartitionedHamiltonian,
-    coupling_scales,
-    invariance_radius,
-    partition_hamiltonian,
-    spectral_gap,
-)
-from .bloch import (
-    BlochEmbedding,
-    adiabatic_embedding,
-    bloch_map,
-    bloch_residual,
-    embedding_from_matrix,
-    exact_embedding,
-    iterate_bloch,
-    perturbative_bloch,
-)
-from .effective import (
-    EffectiveOperator,
-    adiabatic_hamiltonian,
-    hermitian_effective,
-    nonhermitian_effective,
-    pair_spectra,
-    reconstruct_full_eigenvector,
-    second_order_hamiltonian,
-)
-from .schriefferwolff import (
-    SWGenerator,
-    block_offdiagonal_norm,
-    embedding_from_generator,
-    first_order_generator,
-    generator_from_embedding,
-    rotation_from_block,
-    sw_first_order_hamiltonian,
-    tanh_block,
-)
-from .floquet import (
-    FloquetSpec,
-    QuasiEnergySet,
-    TruncatedFloquetOperator,
-    build_floquet,
-    first_order_floquet_hamiltonian,
-    floquet_partition,
-    fold_quasienergy,
-    monodromy,
-    quasi_energies_diag,
-    quasi_energies_effective,
-    quasi_energies_monodromy,
-    restricted_inverse_series,
-)
-from .dynamics import (
-    StateVector,
-    TimeSeries,
-    evolve_constant,
-    evolve_periodic,
-    interior_peak_times,
-    low_pass,
-    populations,
-    secular_shift,
-)
+from .errors import *  # noqa: F401,F403
+from .partition import *  # noqa: F401,F403
+from .bloch import *  # noqa: F401,F403
+from .effective import *  # noqa: F401,F403
+from .schriefferwolff import *  # noqa: F401,F403
+from .floquet import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from . import (bloch, dynamics, effective, errors, floquet, partition,
+               schriefferwolff)
 
-__all__ = [
-    "__version__",
-    # errors
-    "ToolkitError", "NotHermitian", "ConvergenceFailure", "DefectiveMatrix",
-    "NotPositiveDefinite", "SpectraOverlap", "ShapeMismatch",
-    "EmptyPartition", "SingularFastBlock", "Diverged", "OracleAmbiguous",
-    "CutoffTooSmall", "SeriesDiverging", "NonUnitaryMonodromy",
-    "NonUnitaryStep", "ZeroVector", "IndexOutOfRange", "WindowTooSmall",
-    "InsufficientPeaks", "WidePrincipalAngle",
-    # partition
-    "PartitionedHamiltonian", "CouplingScales", "partition_hamiltonian",
-    "coupling_scales", "invariance_radius", "spectral_gap",
-    # bloch
-    "BlochEmbedding", "bloch_map", "bloch_residual", "adiabatic_embedding",
-    "iterate_bloch", "perturbative_bloch", "exact_embedding",
-    "embedding_from_matrix",
-    # effective
-    "EffectiveOperator", "adiabatic_hamiltonian", "nonhermitian_effective",
-    "hermitian_effective", "second_order_hamiltonian",
-    "reconstruct_full_eigenvector", "pair_spectra",
-    # schriefferwolff
-    "SWGenerator", "rotation_from_block", "generator_from_embedding",
-    "first_order_generator", "tanh_block", "embedding_from_generator",
-    "sw_first_order_hamiltonian", "block_offdiagonal_norm",
-    # floquet
-    "FloquetSpec", "TruncatedFloquetOperator", "QuasiEnergySet",
-    "build_floquet", "floquet_partition", "fold_quasienergy", "monodromy",
-    "quasi_energies_monodromy", "quasi_energies_diag",
-    "quasi_energies_effective", "restricted_inverse_series",
-    "first_order_floquet_hamiltonian",
-    # dynamics
-    "StateVector", "TimeSeries", "evolve_constant", "evolve_periodic",
-    "populations", "low_pass", "interior_peak_times", "secular_shift",
-]
+# Each public name is declared once, in its module's ``__all__``.
+__all__ = ["__version__", *errors.__all__, *partition.__all__, *bloch.__all__,
+           *effective.__all__, *schriefferwolff.__all__, *floquet.__all__,
+           *dynamics.__all__]

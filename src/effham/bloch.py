@@ -39,6 +39,9 @@ __all__ = [
     "embedding_from_matrix",
 ]
 
+# Smallest slow-weight gap at which exact_embedding assigns eigenvectors.
+SLOW_WEIGHT_GAP = 1e-2
+
 
 @dataclass(frozen=True)
 class BlochEmbedding:
@@ -88,13 +91,12 @@ def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     return ed.vectors @ (rhs / ed.values[:, None])
 
 
-def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray,
-                   *, norm: str = "spectral") -> float:
-    """Norm of the block-equation defect of a candidate embedding."""
+def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray) -> float:
+    """Spectral norm of the block-equation defect of a candidate embedding."""
     cand = _check_block(ph, candidate)
     defect = (ph.coupling + ph.fast_block @ cand - cand @ ph.slow_block
               - cand @ (ph.coupling.conj().T @ cand))
-    return matrixkit.operator_norm(defect, norm)
+    return matrixkit.spectral_norm(defect)
 
 
 def adiabatic_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:
@@ -190,8 +192,7 @@ def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding
                           terms=tuple(bare))
 
 
-def exact_embedding(ph: PartitionedHamiltonian, *,
-                    overlap_gap: float = 1e-2) -> BlochEmbedding:
+def exact_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:
     """Exact embedding read off the eigenvectors of the full operator.
 
     Diagonalizes the partitioned operator, greedily assigns the p
@@ -204,21 +205,13 @@ def exact_embedding(ph: PartitionedHamiltonian, *,
     ------
     OracleAmbiguous
         If the weight gap between the selected family and the rest is
-        below ``overlap_gap``, or if the slow components of the family do
+        below ``SLOW_WEIGHT_GAP``, or if the slow components of the family do
         not span the slow sector.
     """
     p = ph.slow_dim
     ed = matrixkit.hermitian_eig(ph.block_matrix)
-    weights = np.sum(np.abs(ed.vectors[:p, :]) ** 2, axis=0)
-    order = np.argsort(weights)[::-1]
-    chosen = order[:p]
-    if ph.fast_dim > 0:
-        gap = float(weights[order[p - 1]] - weights[order[p]])
-        if gap < overlap_gap:
-            raise OracleAmbiguous(
-                f"slow-weight gap {gap:.3e} below {overlap_gap:.1e}; "
-                f"eigenvectors cannot be assigned to sectors")
-    chosen = np.sort(chosen)
+    chosen = matrixkit._heaviest_columns(ed.vectors[:p], p, SLOW_WEIGHT_GAP,
+                                         "slow-sector")
     slow_parts = ed.vectors[:p, chosen]
     fast_parts = ed.vectors[p:, chosen]
     sv = np.linalg.svd(slow_parts, compute_uv=False)

@@ -253,10 +253,9 @@ def driven_qubit_dict(params: dict | None = None) -> dict:
 
 
 def _parse_lambda(payload: dict) -> Model:
-    required = {"detuning", "gap", "rabi_a", "rabi_b"}
-    if not isinstance(payload, dict) or set(payload) != required:
+    if not isinstance(payload, dict) or set(payload) != set(LAMBDA_DEFAULTS):
         raise ModelFormatError(
-            f"lambda_system needs exactly the keys {sorted(required)}")
+            f"lambda_system needs exactly the keys {sorted(LAMBDA_DEFAULTS)}")
     params = {
         "detuning": parse_complex_entry(payload["detuning"]).real,
         "gap": parse_complex_entry(payload["gap"]).real,
@@ -380,14 +379,6 @@ def _fmt_cell(x) -> str:
     return _float_token(float(x))
 
 
-def _radius_field(value):
-    if value is None:
-        return None
-    if np.isinf(value):
-        return "inf"
-    return float(value)
-
-
 def _partition_model(model: Model):
     ph = partition_hamiltonian(model.hamiltonian, model.slow_indices)
     scales = coupling_scales(ph)
@@ -460,8 +451,8 @@ def cmd_solve(args) -> int:
         "bloch_residual": float(be.residual),
         "epsilon": scales.epsilon,
         "epsilon_prime": scales.epsilon_prime,
-        "radius": _radius_field(scales.radius),
-        "radius_small": _radius_field(scales.radius_small),
+        "radius": scales.radius,
+        "radius_small": scales.radius_small,
         "spectral_gap": scales.spectral_gap,
         "full_spectrum": vector_to_json(full),
     }
@@ -474,7 +465,7 @@ def _solve_sweep(args, model: Model) -> int:
         raise ModelFormatError("solve sweeps are defined for lambda_system "
                                "models only")
     name, values = _parse_sweep(args.sweep)
-    if name not in ("detuning", "gap", "rabi_a", "rabi_b"):
+    if name not in LAMBDA_DEFAULTS:
         raise ModelFormatError(f"unknown sweep parameter {name!r}")
     p = len(model.slow_indices)
     header = [name] + [f"eig_{i}" for i in range(p)] + [

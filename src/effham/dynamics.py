@@ -37,6 +37,9 @@ __all__ = [
     "secular_shift",
 ]
 
+# Fewest interior maxima secular_shift pairs in each signal.
+MIN_PEAKS = 3
+
 
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"c{i}" for i in range(dim))
@@ -265,10 +268,10 @@ def interior_peak_times(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def secular_shift(reference: np.ndarray, candidate: np.ndarray,
-                  times: np.ndarray, *, min_peaks: int = 3) -> float:
+                  times: np.ndarray) -> float:
     """Mean arrival-time lead of reference maxima over candidate maxima.
 
-    Both signals must show at least ``min_peaks`` interior maxima and the
+    Both signals must show at least ``MIN_PEAKS`` interior maxima and the
     same number of them (:class:`InsufficientPeaks` otherwise — unequal
     counts mean the signals are not tracking the same oscillation); maxima
     are paired in order of occurrence.  A positive value means the
@@ -278,10 +281,10 @@ def secular_shift(reference: np.ndarray, candidate: np.ndarray,
     t = _check_times(times)
     ref_peaks = interior_peak_times(reference, t)
     cand_peaks = interior_peak_times(candidate, t)
-    if ref_peaks.size < min_peaks or cand_peaks.size < min_peaks:
+    if ref_peaks.size < MIN_PEAKS or cand_peaks.size < MIN_PEAKS:
         raise InsufficientPeaks(
             f"found {ref_peaks.size} reference and {cand_peaks.size} "
-            f"candidate maxima, need {min_peaks} of each")
+            f"candidate maxima, need {MIN_PEAKS} of each")
     if ref_peaks.size != cand_peaks.size:
         raise InsufficientPeaks(
             f"maxima counts differ ({ref_peaks.size} reference vs "

@@ -23,7 +23,6 @@ from .errors import (
     CutoffTooSmall,
     NonUnitaryMonodromy,
     NotHermitian,
-    OracleAmbiguous,
     SeriesDiverging,
     ShapeMismatch,
     SingularFastBlock,
@@ -45,6 +44,13 @@ __all__ = [
     "restricted_inverse_series",
     "first_order_floquet_hamiltonian",
 ]
+
+# Smallest zero-harmonic weight gap at which quasi_energies_diag picks states.
+ZERO_HARMONIC_WEIGHT_GAP = 1e-6
+# The automatic cutoff doubles until the folded values move at most
+# CUTOFF_TARGET, and gives up past CUTOFF_CAP.
+CUTOFF_TARGET = 1e-10
+CUTOFF_CAP = 256
 
 
 @dataclass
@@ -305,36 +311,29 @@ def quasi_energies_monodromy(spec: FloquetSpec,
                           drive_frequency=spec.drive_frequency, **report)
 
 
-def _diag_values(spec: FloquetSpec, cutoff: int,
-                 overlap_gap: float = 1e-6) -> np.ndarray:
+def _diag_values(spec: FloquetSpec, cutoff: int) -> np.ndarray:
     tfo = build_floquet(spec, cutoff)
     ed = matrixkit.hermitian_eig(tfo.matrix)
     rows = np.asarray(tfo.zero_harmonic_indices)
-    weights = np.sum(np.abs(ed.vectors[rows, :]) ** 2, axis=0)
-    order = np.argsort(weights)[::-1]
-    d = spec.dim
-    gap = float(weights[order[d - 1]] - weights[order[d]])
-    if gap < overlap_gap:
-        raise OracleAmbiguous(
-            f"zero-harmonic weight gap {gap:.3e} below {overlap_gap:.1e}; "
-            f"cannot single out one quasi-energy per state")
-    chosen = ed.values[np.sort(order[:d])]
-    return np.sort(fold_quasienergy(chosen, spec.drive_frequency))
+    chosen = matrixkit._heaviest_columns(
+        ed.vectors[rows, :], spec.dim, ZERO_HARMONIC_WEIGHT_GAP,
+        "zero-harmonic")
+    return np.sort(fold_quasienergy(ed.values[chosen], spec.drive_frequency))
 
 
-def _auto_cutoff(spec: FloquetSpec, evaluate, target: float = 1e-10,
-                 cap: int = 256) -> tuple[np.ndarray, int]:
-    """Double the cutoff until the folded values move less than ``target``."""
+def _auto_cutoff(spec: FloquetSpec, evaluate) -> tuple[np.ndarray, int]:
+    """Double the cutoff until the folded values move at most
+    ``CUTOFF_TARGET``."""
     cutoff = max(4, 2 * spec.max_harmonic)
     prev = evaluate(cutoff)
-    while 2 * cutoff <= cap:
+    while 2 * cutoff <= CUTOFF_CAP:
         cutoff *= 2
         cur = evaluate(cutoff)
-        if float(np.max(np.abs(cur - prev))) <= target:
+        if float(np.max(np.abs(cur - prev))) <= CUTOFF_TARGET:
             return cur, cutoff
         prev = cur
     raise ConvergenceFailure(
-        f"quasi-energies still moving at harmonic cutoff {cap}")
+        f"quasi-energies still moving at harmonic cutoff {CUTOFF_CAP}")
 
 
 def quasi_energies_diag(spec: FloquetSpec,
@@ -342,8 +341,10 @@ def quasi_energies_diag(spec: FloquetSpec,
     """Quasi-energies from direct diagonalization of the truncated operator.
 
     One eigenvalue is kept per system state, chosen by largest
-    zero-harmonic weight.  With ``cutoff=None`` the cutoff is doubled until
-    the folded values settle to 1e-10 (:class:`ConvergenceFailure` at 256).
+    zero-harmonic weight (:class:`OracleAmbiguous` if the weight gap is
+    below ``ZERO_HARMONIC_WEIGHT_GAP``).  With ``cutoff=None`` the cutoff
+    is doubled until the folded values settle to ``CUTOFF_TARGET``
+    (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).
     """
     if cutoff is None:
         values, used = _auto_cutoff(spec, lambda n: _diag_values(spec, n))
@@ -353,41 +354,47 @@ def quasi_energies_diag(spec: FloquetSpec,
                           drive_frequency=spec.drive_frequency, cutoff=used)
 
 
-def _effective_values(spec: FloquetSpec, cutoff: int, method: str,
-                      tol: float) -> np.ndarray:
-    tfo = build_floquet(spec, cutoff)
-    ph = floquet_partition(tfo)
+def _effective_route(method: str):
+    """Function from a partition to the effective operator ``method``
+    names; raises ValueError for an unknown method, before any ladder."""
     if method == "adiabatic":
-        op = adiabatic_hamiltonian(ph)
-    elif method == "sw_first":
-        op = sw_first_order_hamiltonian(ph)
-    elif method == "iterate":
-        op = hermitian_effective(ph, iterate_bloch(ph, tol=tol))
-    elif method.startswith("bloch_order_"):
+        return adiabatic_hamiltonian
+    if method == "sw_first":
+        return sw_first_order_hamiltonian
+    if method == "iterate":
+        return lambda ph: hermitian_effective(ph, iterate_bloch(ph))
+    if method.startswith("bloch_order_"):
         order = int(method.removeprefix("bloch_order_"))
-        op = hermitian_effective(ph, perturbative_bloch(ph, order))
-    else:
-        raise ValueError(
-            f"unknown effective method {method!r}; expected adiabatic, "
-            f"sw_first, iterate, or bloch_order_<k>")
+        if order < 1:
+            raise ValueError(f"series order must be >= 1, got {order}")
+        return lambda ph: hermitian_effective(ph, perturbative_bloch(ph, order))
+    raise ValueError(
+        f"unknown effective method {method!r}; expected adiabatic, "
+        f"sw_first, iterate, or bloch_order_<k>")
+
+
+def _effective_values(spec: FloquetSpec, cutoff: int, route) -> np.ndarray:
+    op = route(floquet_partition(build_floquet(spec, cutoff)))
     energies = matrixkit.hermitian_eig(op.matrix).values
     return np.sort(fold_quasienergy(energies, spec.drive_frequency))
 
 
 def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
-                             cutoff: int | None = None,
-                             tol: float = 1e-12) -> QuasiEnergySet:
+                             cutoff: int | None = None) -> QuasiEnergySet:
     """Quasi-energies from elimination down to the zero-harmonic block.
 
     ``method`` selects the effective operator: ``adiabatic``, ``sw_first``,
-    ``iterate`` (fixed point to ``tol``), or ``bloch_order_<k>`` (series
-    through order ``k``).  Cutoff handling as in :func:`quasi_energies_diag`.
+    ``iterate`` (fixed point to :func:`iterate_bloch`'s default ``tol``),
+    or ``bloch_order_<k>`` (series through order ``k >= 1``); any other
+    name raises ValueError before a ladder is built.  Cutoff handling as
+    in :func:`quasi_energies_diag`.
     """
+    route = _effective_route(method)
     if cutoff is None:
         values, used = _auto_cutoff(
-            spec, lambda n: _effective_values(spec, n, method, tol))
+            spec, lambda n: _effective_values(spec, n, route))
     else:
-        values, used = _effective_values(spec, cutoff, method, tol), cutoff
+        values, used = _effective_values(spec, cutoff, route), cutoff
     return QuasiEnergySet(values=values, method=f"effective_{method}",
                           drive_frequency=spec.drive_frequency, cutoff=used)
 

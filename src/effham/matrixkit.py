@@ -17,6 +17,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     ShapeMismatch,
+    OracleAmbiguous,
     SpectraOverlap,
 )
 
@@ -24,8 +25,6 @@ __all__ = [
     "EigenDecomposition",
     "as_matrix",
     "spectral_norm",
-    "frobenius_norm",
-    "operator_norm",
     "hermiticity_deviation",
     "hermitize",
     "require_hermitian",
@@ -39,6 +38,12 @@ __all__ = [
 
 # Hermiticity tolerance, relative to max(1, ||a||), of every check here.
 HERM_TOL = 1e-10
+# Largest eigenbasis condition number general_eig accepts.
+COND_LIMIT = 1e12
+# Smallest slow/fast eigenvalue separation sylvester_solve divides by.
+GAP_TOL = 1e-9
+# Largest unitarity defect expm accepts for an anti-hermitian input.
+UNITARY_TOL = 1e-11
 
 
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -63,19 +68,6 @@ def spectral_norm(a: np.ndarray) -> float:
     if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def operator_norm(a: np.ndarray, kind: str = "spectral") -> float:
-    """Matrix norm of the requested ``kind`` ("spectral" or "frobenius")."""
-    if kind == "spectral":
-        return spectral_norm(a)
-    if kind == "frobenius":
-        return frobenius_norm(a)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def hermiticity_deviation(a: np.ndarray) -> float:
@@ -143,11 +135,12 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors, hermitian=True)
 
 
-def general_eig(a: np.ndarray, *, cond_limit: float = 1e12) -> EigenDecomposition:
+def general_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a general matrix.
 
-    Raises :class:`DefectiveMatrix` when the eigenvector matrix is too
-    ill-conditioned to define a meaningful spectral decomposition.
+    Raises :class:`DefectiveMatrix` when the condition number of the
+    eigenvector matrix exceeds ``COND_LIMIT``, too ill-conditioned to
+    define a meaningful spectral decomposition.
     """
     a = _require_square(as_matrix(a))
     try:
@@ -155,13 +148,32 @@ def general_eig(a: np.ndarray, *, cond_limit: float = 1e12) -> EigenDecompositio
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"general eigensolver failed: {exc}") from exc
     sv = np.linalg.svd(vectors, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > cond_limit:
+    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
         raise DefectiveMatrix(
-            f"eigenbasis condition number {cond:.3e} exceeds {cond_limit:.1e}")
+            f"eigenbasis condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
     order = np.lexsort((values.imag, values.real))
     return EigenDecomposition(values=values[order], vectors=vectors[:, order],
                               hermitian=False)
+
+
+def _heaviest_columns(rows: np.ndarray, count: int, floor: float,
+                      what: str) -> np.ndarray:
+    """Ascending indices of the ``count`` columns of largest weight, the
+    weight of a column being its summed ``|entry|^2`` over ``rows`` (the
+    row subset of a set of eigenvectors, with more than ``count`` columns).
+
+    Raises :class:`OracleAmbiguous` when the weight gap between the last
+    chosen column and the next is below ``floor``.
+    """
+    weights = np.sum(np.abs(rows) ** 2, axis=0)
+    order = np.argsort(weights)[::-1]
+    gap = float(weights[order[count - 1]] - weights[order[count]])
+    if gap < floor:
+        raise OracleAmbiguous(
+            f"{what} weight gap {gap:.3e} below {floor:.1e}; "
+            f"eigenvectors cannot be assigned by weight")
+    return np.sort(order[:count])
 
 
 def posdef_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,14 +189,14 @@ def posdef_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
-                    rhs: np.ndarray, *, gap_tol: float = 1e-9) -> np.ndarray:
+                    rhs: np.ndarray) -> np.ndarray:
     """Solve ``x @ S - F @ x = rhs`` for hermitian ``S`` and ``F``.
 
     ``slow`` and ``fast`` are the eigendecompositions of ``S`` and ``F``; the
     equation is divided through by the eigenvalue differences, so the
     solution exists and is unique exactly when the two spectra are disjoint.
     :class:`SpectraOverlap` is raised when any eigenvalue pair comes closer
-    than ``gap_tol``.
+    than ``GAP_TOL``.
     """
     rhs = as_matrix(rhs, "right-hand side")
     shape = (fast.values.size, slow.values.size)
@@ -193,21 +205,21 @@ def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
             f"right-hand side shape {rhs.shape} does not match {shape}")
     denom = slow.values[None, :] - fast.values[:, None]
     gap = float(np.min(np.abs(denom))) if denom.size else np.inf
-    if gap < gap_tol:
+    if gap < GAP_TOL:
         raise SpectraOverlap(
             f"slow and fast spectra are separated by only {gap:.3e} "
-            f"(required {gap_tol:.1e})", gap=gap)
+            f"(required {GAP_TOL:.1e})", gap=gap)
     mixed = fast.vectors.conj().T @ rhs @ slow.vectors
     return fast.vectors @ (mixed / denom) @ slow.vectors.conj().T
 
 
-def expm(a: np.ndarray, *, unitary_tol: float = 1e-11) -> np.ndarray:
+def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential with spectrally exact (anti)hermitian branches.
 
     Inputs hermitian or anti-hermitian to ``HERM_TOL`` are exponentiated
     through an eigendecomposition of their hermitized part, which keeps
     the result exactly hermitian positive definite or unitary up to
-    rounding; anti-hermitian results are checked for unitarity.
+    rounding; anti-hermitian results must be unitary to ``UNITARY_TOL``.
     Everything else falls back to the scaling-and-squaring exponential.
     """
     a = _require_square(as_matrix(a))
@@ -220,10 +232,10 @@ def expm(a: np.ndarray, *, unitary_tol: float = 1e-11) -> np.ndarray:
         ed = hermitian_eig(hermitize(-1j * a))
         u = (ed.vectors * np.exp(1j * ed.values)) @ ed.vectors.conj().T
         defect = spectral_norm(u.conj().T @ u - np.eye(n))
-        if defect > unitary_tol:
+        if defect > UNITARY_TOL:
             raise ConvergenceFailure(
                 f"exponential of anti-hermitian input lost unitarity "
-                f"({defect:.3e} > {unitary_tol:.1e})")
+                f"({defect:.3e} > {UNITARY_TOL:.1e})")
         return u
     import scipy.linalg  # deferred: the only scipy use, and a slow import
     out = scipy.linalg.expm(a)

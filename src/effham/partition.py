@@ -5,7 +5,8 @@ fast-sector block, and the coupling between them.  All downstream solvers
 work in the partitioned ordering (slow components first); the original index
 placement is kept so the full operator can be rebuilt exactly.
 Every use of the fast block (gate, inverse norm, spectrum, solves) reads
-one cached eigendecomposition, :attr:`PartitionedHamiltonian.fast_eig`.
+one cached eigendecomposition, :attr:`PartitionedHamiltonian.fast_eig`;
+every use of the slow spectrum reads :attr:`PartitionedHamiltonian.slow_eig`.
 """
 from __future__ import annotations
 
@@ -40,8 +41,9 @@ class PartitionedHamiltonian:
     ``fast_block`` the q x q restriction to the fast sector, and
     ``coupling`` the q x p block mapping slow components to fast ones.
     Index tuples record where each sector lives in the original matrix.
-    The fast eigendecomposition ``V diag(lam) V^dagger`` (:attr:`fast_eig`)
-    and ``V^dagger coupling`` (:attr:`eig_coupling`) are cached on first use.
+    The fast eigendecomposition ``V diag(lam) V^dagger`` (:attr:`fast_eig`),
+    ``V^dagger coupling`` (:attr:`eig_coupling`) and the slow
+    eigendecomposition (:attr:`slow_eig`) are cached on first use.
     """
 
     slow_block: np.ndarray
@@ -81,6 +83,11 @@ class PartitionedHamiltonian:
                 condition=cond)
         return matrixkit.EigenDecomposition(values=values, vectors=vectors,
                                             hermitian=True)
+
+    @cached_property
+    def slow_eig(self) -> matrixkit.EigenDecomposition:
+        """Eigendecomposition of the slow block, computed once."""
+        return matrixkit.hermitian_eig(self.slow_block)
 
     @cached_property
     def eig_coupling(self) -> np.ndarray:
@@ -157,7 +164,8 @@ class CouplingScales:
     """Dimensionless strength of the slow block and of the coupling.
 
     ``epsilon`` is ``||fast_block^-1|| * ||slow_block||`` and
-    ``epsilon_prime`` is ``||fast_block^-1|| * ||coupling||``.  When the
+    ``epsilon_prime`` is ``||fast_block^-1|| * ||coupling||``, in the
+    spectral norm.  When the
     contraction hypothesis ``epsilon < 1`` and
     ``epsilon_prime <= (1 - epsilon)/2`` holds, ``radius`` is the certified
     invariant-ball radius of the fixed-point map and ``radius_small`` its
@@ -190,17 +198,15 @@ def invariance_radius(epsilon: float,
     return (float(large), float(1.0 / large))
 
 
-def coupling_scales(ph: PartitionedHamiltonian, *,
-                    norm: str = "spectral") -> CouplingScales:
+def coupling_scales(ph: PartitionedHamiltonian) -> CouplingScales:
     """Coupling scales, invariant-ball radii, and slow/fast spectral gap.
 
-    ``||fast_block^-1||`` is ``1 / min|lam|``, or ``sqrt(sum lam^-2)`` for
-    the Frobenius norm.
+    Every norm is the spectral norm; ``||fast_block^-1||`` is
+    ``1 / min|lam|``.
     """
-    inv_lam = 1.0 / np.abs(ph.fast_eig.values)
-    inv_norm = np.max(inv_lam) if norm == "spectral" else np.linalg.norm(inv_lam)
-    eps = inv_norm * matrixkit.operator_norm(ph.slow_block, norm)
-    eps_prime = inv_norm * matrixkit.operator_norm(ph.coupling, norm)
+    inv_norm = np.max(1.0 / np.abs(ph.fast_eig.values))
+    eps = inv_norm * matrixkit.spectral_norm(ph.slow_block)
+    eps_prime = inv_norm * matrixkit.spectral_norm(ph.coupling)
     radii = invariance_radius(eps, eps_prime)
     large, small = radii if radii is not None else (None, None)
     return CouplingScales(
@@ -218,6 +224,6 @@ def spectral_gap(ph: PartitionedHamiltonian) -> float:
     Diagnostic only: a healthy elimination regime keeps this gap large
     compared to the coupling, but no routine enforces that.
     """
-    slow = matrixkit.hermitian_eig(ph.slow_block).values
+    slow = ph.slow_eig.values
     fast = ph.fast_eig.values
     return float(np.min(np.abs(slow[:, None] - fast[None, :])))

@@ -113,22 +113,21 @@ def tanh_block(gen: SWGenerator) -> np.ndarray:
     return _tan_block(gen.block)
 
 
-def _linearized_block(ph: PartitionedHamiltonian, gap_tol: float) -> np.ndarray:
-    return matrixkit.sylvester_solve(matrixkit.hermitian_eig(ph.slow_block),
-                                     ph.fast_eig, ph.coupling, gap_tol=gap_tol)
+def _linearized_block(ph: PartitionedHamiltonian) -> np.ndarray:
+    return matrixkit.sylvester_solve(ph.slow_eig, ph.fast_eig, ph.coupling)
 
 
-def first_order_generator(ph: PartitionedHamiltonian, *,
-                          gap_tol: float = 1e-9) -> SWGenerator:
+def first_order_generator(ph: PartitionedHamiltonian) -> SWGenerator:
     """Generator from the linearized decoupling condition.
 
     Solves ``G @ slow_block - fast_block @ G = coupling``, the equation
     obtained by keeping only terms linear in the coupling.  Requires
-    disjoint slow/fast spectra (:class:`SpectraOverlap` otherwise).  The
+    slow/fast spectra at least ``matrixkit.GAP_TOL`` apart
+    (:class:`SpectraOverlap` otherwise).  The
     attached rotation is the closed form for the matching embedding block
     ``tan`` (principal angles), so it is exactly unitary.
     """
-    gen = _linearized_block(ph, gap_tol)
+    gen = _linearized_block(ph)
     return SWGenerator(block=gen, rotation=rotation_from_block(_tan_block(gen)),
                        order="first_order")
 
@@ -139,15 +138,14 @@ def embedding_from_generator(ph: PartitionedHamiltonian,
     return embedding_from_matrix(ph, tanh_block(gen))
 
 
-def sw_first_order_hamiltonian(ph: PartitionedHamiltonian, *,
-                               gap_tol: float = 1e-9) -> EffectiveOperator:
+def sw_first_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     """Second-order effective operator from the first-order generator.
 
     ``slow_block + (G^dagger @ coupling + coupling^dagger @ G) / 2`` with
     ``G`` from :func:`first_order_generator`.  Hermitian by construction
     and correct through second order in the coupling.
     """
-    gen = _linearized_block(ph, gap_tol)
+    gen = _linearized_block(ph)
     matrix = ph.slow_block + 0.5 * (gen.conj().T @ ph.coupling
                                     + ph.coupling.conj().T @ gen)
     return EffectiveOperator(matrix=matrixkit.hermitize(matrix),

@@ -135,6 +135,17 @@ def test_solve_report_frozen_values(tmp_path, capsys):
     assert np.allclose(report["full_spectrum"], FULL_EIGS, atol=1e-14)
 
 
+def test_solve_decoupled_model_reports_infinite_radius(tmp_path, capsys):
+    path = tmp_path / "decoupled.json"
+    path.write_text(json.dumps({"matrix": {
+        "hamiltonian": [[0.1, 0, 0], [0, -0.1, 0], [0, 0, 2]],
+        "slow_indices": [0, 1]}}))
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"radius": "inf",' in out
+    assert '"radius_small": 0,' in out
+
+
 def test_solve_iterate_matches_full_slow_spectrum(tmp_path):
     model = write_lambda(tmp_path)
     out = tmp_path / "report.json"

@@ -284,6 +284,18 @@ def test_effective_rejects_unknown_method():
         quasi_energies_effective(resonant_spec(), "magnus_7")
 
 
+def test_effective_method_is_validated_before_the_ladder(monkeypatch):
+    import effham.floquet
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("ladder built for an invalid method")
+
+    monkeypatch.setattr(effham.floquet, "build_floquet", no_ladder)
+    for method in ("magnus_7", "bloch_order_0"):
+        with pytest.raises(ValueError):
+            quasi_energies_effective(resonant_spec(), method)
+
+
 def test_auto_cutoff_gives_up_at_the_cap():
     from effham.floquet import _auto_cutoff
 

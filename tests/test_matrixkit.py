@@ -20,14 +20,6 @@ from ensembles import antihermitian_shift, random_hermitian
 def test_norms_known_values():
     a = np.array([[3.0, 0.0], [0.0, 4.0]])
     assert mk.spectral_norm(a) == pytest.approx(4.0)
-    assert mk.frobenius_norm(a) == pytest.approx(5.0)
-    assert mk.operator_norm(a, "spectral") == pytest.approx(4.0)
-    assert mk.operator_norm(a, "frobenius") == pytest.approx(5.0)
-
-
-def test_operator_norm_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        mk.operator_norm(np.eye(2), "nuclear")
 
 
 def test_as_matrix_validation():

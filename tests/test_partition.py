@@ -29,6 +29,7 @@ from effham.partition import (
     spectral_gap,
 )
 from effham.schriefferwolff import (
+    first_order_generator,
     generator_from_embedding,
     sw_first_order_hamiltonian,
 )
@@ -58,12 +59,6 @@ def test_lambda_coupling_scales_frozen():
     assert scales.radius_small == pytest.approx(0.27068626889488939, abs=1e-13)
     assert scales.spectral_gap == pytest.approx(0.99125, abs=1e-12)
     assert scales.radius * scales.radius_small == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lambda_frobenius_scales():
-    scales = coupling_scales(lambda_partition(), norm="frobenius")
-    assert scales.epsilon == pytest.approx(0.00875 * np.sqrt(2.0), abs=1e-15)
-    assert scales.epsilon_prime == pytest.approx(0.25, abs=1e-15)
 
 
 def test_invariance_radius_frozen_value():
@@ -158,13 +153,12 @@ def test_fast_solves_match_dense_solve():
 def test_scales_and_gap_match_dense_inverse():
     for ph in fast_block_ensemble():
         inv = np.linalg.inv(ph.fast_block)
-        for norm, order in (("spectral", 2), ("frobenius", "fro")):
-            inv_norm = np.linalg.norm(inv, order)
-            scales = coupling_scales(ph, norm=norm)
-            eps = inv_norm * np.linalg.norm(ph.slow_block, order)
-            eps_prime = inv_norm * np.linalg.norm(ph.coupling, order)
-            assert scales.epsilon == pytest.approx(eps, rel=1e-12)
-            assert scales.epsilon_prime == pytest.approx(eps_prime, rel=1e-12)
+        inv_norm = np.linalg.norm(inv, 2)
+        scales = coupling_scales(ph)
+        eps = inv_norm * np.linalg.norm(ph.slow_block, 2)
+        eps_prime = inv_norm * np.linalg.norm(ph.coupling, 2)
+        assert scales.epsilon == pytest.approx(eps, rel=1e-12)
+        assert scales.epsilon_prime == pytest.approx(eps_prime, rel=1e-12)
         slow = np.linalg.eigvalsh(ph.slow_block)
         fast = np.linalg.eigvalsh(ph.fast_block)
         gap = np.min(np.abs(slow[:, None] - fast[None, :]))
@@ -197,6 +191,24 @@ def test_fast_block_is_decomposed_once(monkeypatch):
     assert [name for name, shape in seen if shape == (n, n)] == []
     # One thin SVD of the block serves the generator and the rotation.
     assert seen[before_generator:] == [("svd", (q, 4))]
+
+
+def test_slow_block_is_decomposed_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    p = 4
+    h = make_partition(rng, p, 64, 0.1, 0.2).block_matrix
+    ph = partition_hamiltonian(h, range(p))
+    seen = []
+
+    def counted(a, *args, **kw):
+        seen.append(np.shape(a))
+        return linalg_impl.eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    coupling_scales(ph)
+    sw_first_order_hamiltonian(ph)
+    first_order_generator(ph)
+    assert seen.count((p, p)) == 1
 
 
 def test_coupling_scales_on_random_ensemble():
