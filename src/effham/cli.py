@@ -15,12 +15,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matrixkit, partition
 from .bloch import (
     BlochEmbedding,
     adiabatic_embedding,
@@ -37,14 +37,12 @@ from .effective import (
 from .errors import ToolkitError
 from .floquet import (
     FloquetSpec,
-    QuasiEnergySet,
     first_order_floquet_hamiltonian,
     fold_quasienergy,
     quasi_energies_diag,
     quasi_energies_effective,
     quasi_energies_monodromy,
 )
-from .matrixkit import hermitian_eig
 from .partition import coupling_scales, partition_hamiltonian
 from .schriefferwolff import (
     embedding_from_generator,
@@ -225,14 +223,20 @@ def _with_overrides(defaults: dict, params: dict | None, what: str) -> dict:
     return {**defaults, **(params or {})}
 
 
+def _lambda_value(name: str, x) -> float | complex:
+    """``x`` as the type of ``LAMBDA_DEFAULTS[name]``: the Rabi couplings
+    are complex, detuning and gap real."""
+    if isinstance(LAMBDA_DEFAULTS[name], complex):
+        return complex(x)
+    return float(np.real(x))
+
+
 def lambda_model_dict(params: dict | None = None) -> dict:
     p = _with_overrides(LAMBDA_DEFAULTS, params, "three-level")
+    values = {k: _lambda_value(k, x) for k, x in p.items()}
     return {"lambda_system": {
-        "detuning": float(np.real(p["detuning"])),
-        "gap": float(np.real(p["gap"])),
-        "rabi_a": complex_to_json(p["rabi_a"]),
-        "rabi_b": complex_to_json(p["rabi_b"]),
-    }}
+        k: complex_to_json(x) if isinstance(x, complex) else x
+        for k, x in values.items()}}
 
 
 def driven_qubit_dict(params: dict | None = None) -> dict:
@@ -247,8 +251,7 @@ def driven_qubit_dict(params: dict | None = None) -> dict:
     return {"floquet": {
         "dim": 2,
         "drive_frequency": float(np.real(p["drive_frequency"])),
-        "components": {k: [[complex_to_json(complex(x)) for x in row]
-                           for row in m] for k, m in comps.items()},
+        "components": {k: matrix_to_json(m) for k, m in comps.items()},
     }}
 
 
@@ -256,12 +259,8 @@ def _parse_lambda(payload: dict) -> Model:
     if not isinstance(payload, dict) or set(payload) != set(LAMBDA_DEFAULTS):
         raise ModelFormatError(
             f"lambda_system needs exactly the keys {sorted(LAMBDA_DEFAULTS)}")
-    params = {
-        "detuning": parse_complex_entry(payload["detuning"]).real,
-        "gap": parse_complex_entry(payload["gap"]).real,
-        "rabi_a": parse_complex_entry(payload["rabi_a"]),
-        "rabi_b": parse_complex_entry(payload["rabi_b"]),
-    }
+    params = {k: _lambda_value(k, parse_complex_entry(payload[k]))
+              for k in LAMBDA_DEFAULTS}
     h = three_level_matrix(**params)
     return Model(kind="lambda_system", hamiltonian=h, slow_indices=(0, 1),
                  labels=("g_a", "g_b", "e"), params=params)
@@ -366,10 +365,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, newline="")
 
 
-def _csv_line(cells) -> str:
-    return ",".join(cells) + "\n"
-
-
 def _fmt_cell(x) -> str:
     """CSV cell: strings as given, ``None`` empty, floats as bare tokens."""
     if x is None:
@@ -377,6 +372,26 @@ def _fmt_cell(x) -> str:
     if isinstance(x, str):
         return x
     return _float_token(float(x))
+
+
+def _csv(rows) -> str:
+    """CSV table, header first, every cell through :func:`_fmt_cell`."""
+    return "".join(",".join(_fmt_cell(x) for x in row) + "\n" for row in rows)
+
+
+def _comma_list(text: str, what: str) -> list[str]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ModelFormatError(f"no {what} requested")
+    return tokens
+
+
+def _parse_complex(text: str, what: str) -> complex:
+    """A complex number written with ``i`` or ``j``, e.g. ``0.5-0.8i``."""
+    try:
+        return complex(text.strip().replace("i", "j"))
+    except ValueError as exc:
+        raise ModelFormatError(f"cannot parse {what}: {exc}") from exc
 
 
 def _partition_model(model: Model):
@@ -409,8 +424,12 @@ def _solve_once(ph, method: str, order: int, tol: float):
     raise ModelFormatError(f"unknown solve method {method!r}")
 
 
-def _parse_sweep(text: str):
-    parts = text.split(":")
+def _sweep(args, names, header, cells) -> int:
+    """CSV table of one ``name:lo:hi:steps`` sweep over ``names``: each
+    row is the value and ``cells(name, value)``, under ``header``.  The
+    first failing point aborts the sweep with its own error, so the table
+    is written only after every point has succeeded."""
+    parts = args.sweep.split(":")
     if len(parts) != 4:
         raise ModelFormatError("sweep must look like name:lo:hi:steps")
     name, lo, hi, steps = parts
@@ -420,7 +439,12 @@ def _parse_sweep(text: str):
         raise ModelFormatError(f"bad sweep bounds: {exc}") from exc
     if n < 1:
         raise ModelFormatError("sweep needs at least one step")
-    return name, np.linspace(lo_f, hi_f, n)
+    if name not in names:
+        raise ModelFormatError(f"unknown sweep parameter {name!r}")
+    rows = [[name, *header]] + [[value, *cells(name, value)]
+                                for value in np.linspace(lo_f, hi_f, n)]
+    _write_text(args.out, _csv(rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +460,7 @@ def cmd_solve(args) -> int:
         return _solve_sweep(args, model)
     ph, scales = _partition_model(model)
     op, be = _solve_once(ph, args.method, args.order, args.tol)
-    full = hermitian_eig(model.hamiltonian).values
+    full = matrixkit.hermitian_eig(model.hamiltonian).values
     report = {
         "tool": "effham",
         "version": __version__,
@@ -464,71 +488,51 @@ def _solve_sweep(args, model: Model) -> int:
     if model.kind != "lambda_system":
         raise ModelFormatError("solve sweeps are defined for lambda_system "
                                "models only")
-    name, values = _parse_sweep(args.sweep)
-    if name not in LAMBDA_DEFAULTS:
-        raise ModelFormatError(f"unknown sweep parameter {name!r}")
-    p = len(model.slow_indices)
-    header = [name] + [f"eig_{i}" for i in range(p)] + [
-        "bloch_residual", "epsilon", "epsilon_prime", "radius"]
-    lines = [_csv_line(header)]
-    cast = complex if name.startswith("rabi") else float
-    for value in values:
-        h = three_level_matrix(**{**model.params, name: cast(value)})
+
+    def cells(name: str, value: float) -> list:
+        h = three_level_matrix(
+            **{**model.params, name: _lambda_value(name, value)})
         ph = partition_hamiltonian(h, model.slow_indices)
         scales = coupling_scales(ph)
         op, be = _solve_once(ph, args.method, args.order, args.tol)
-        spectrum = np.real(op.spectrum())
-        cells = [_fmt_cell(value)] + [_fmt_cell(x) for x in spectrum]
-        cells += [_fmt_cell(be.residual), _fmt_cell(scales.epsilon),
-                  _fmt_cell(scales.epsilon_prime),
-                  _fmt_cell(scales.radius)]
-        lines.append(_csv_line(cells))
-    _write_text(args.out, "".join(lines))
-    return 0
+        return [*np.real(op.spectrum()), be.residual, scales.epsilon,
+                scales.epsilon_prime, scales.radius]
+
+    header = [f"eig_{i}" for i in range(len(model.slow_indices))] + [
+        "bloch_residual", "epsilon", "epsilon_prime", "radius"]
+    return _sweep(args, LAMBDA_DEFAULTS, header, cells)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-_GEN_PATTERN = re.compile(r"^(exact|adiabatic|second|sw|iterate(\d+)|herm(\d+))$")
+_GEN_PATTERN = re.compile(r"^(adiabatic|second|sw|iterate(\d+)|herm(\d+))$")
 
 
-def _generator_series(model: Model, token: str, psi0: np.ndarray, times):
-    """Build the time series for one generator token."""
-    ph = partition_hamiltonian(model.hamiltonian, model.slow_indices)
-    slow_labels = tuple(model.labels[i] for i in ph.slow_indices)
-    # Slow generators take the slow components of psi0 as given, unrenormalized.
-    slow_state = StateVector(psi0[list(ph.slow_indices)], slow_labels)
+def _generator(ph, token: str) -> np.ndarray:
+    """Slow-sector generator matrix named by a ``simulate`` token."""
     match = _GEN_PATTERN.match(token)
     if match is None:
         raise ModelFormatError(f"unknown generator {token!r}")
-    if token == "exact":
-        state = StateVector(psi0, model.labels)
-        return evolve_constant(model.hamiltonian, state, times, kind="exact")
     if token == "adiabatic":
-        op = adiabatic_hamiltonian(ph)
-    elif token == "second":
-        op = second_order_hamiltonian(ph)
-    elif token == "sw":
-        op = sw_first_order_hamiltonian(ph)
-    else:
-        be = iterate_bloch(ph, tol=0.0, max_iter=int(match[2] or match[3]),
-                           require_convergence=False)
-        effective = (nonhermitian_effective if token.startswith("iterate")
-                     else hermitian_effective)
-        op = effective(ph, be)
-    return evolve_constant(op.matrix, slow_state, times, kind=token)
+        return adiabatic_hamiltonian(ph).matrix
+    if token == "second":
+        return second_order_hamiltonian(ph).matrix
+    if token == "sw":
+        return sw_first_order_hamiltonian(ph).matrix
+    be = iterate_bloch(ph, tol=0.0, max_iter=int(match[2] or match[3]),
+                       require_convergence=False)
+    effective = (nonhermitian_effective if token.startswith("iterate")
+                 else hermitian_effective)
+    return effective(ph, be).matrix
 
 
 def _series_csv(series) -> str:
     header = ["t"] + [f"pop_{lab}" for lab in series.labels] + ["norm"]
-    lines = [_csv_line(header)]
-    for t, pops, norm in zip(series.times.tolist(),
-                             populations(series).tolist(),
-                             series.norms().tolist()):
-        lines.append(_csv_line(_fmt_cell(x) for x in [t, *pops, norm]))
-    return "".join(lines)
+    return _csv([header] + [[t, *pops, norm] for t, pops, norm in zip(
+        series.times.tolist(), populations(series).tolist(),
+        series.norms().tolist())])
 
 
 def _parse_psi0(text: str | None, dim: int) -> np.ndarray:
@@ -536,11 +540,7 @@ def _parse_psi0(text: str | None, dim: int) -> np.ndarray:
         out = np.zeros(dim, dtype=complex)
         out[0] = 1.0
         return out
-    try:
-        vals = [complex(part.strip().replace("i", "j"))
-                for part in text.split(",")]
-    except ValueError as exc:
-        raise ModelFormatError(f"cannot parse --psi0: {exc}") from exc
+    vals = [_parse_complex(part, "--psi0") for part in text.split(",")]
     if len(vals) != dim:
         raise ModelFormatError(
             f"--psi0 has {len(vals)} components, model needs {dim}")
@@ -554,9 +554,7 @@ def cmd_simulate(args) -> int:
     if not args.tmax > 0.0:
         raise ModelFormatError("tmax must be positive")
     times = np.linspace(0.0, args.tmax, args.samples)
-    tokens = [tok.strip() for tok in args.generators.split(",") if tok.strip()]
-    if not tokens:
-        raise ModelFormatError("no generators requested")
+    tokens = _comma_list(args.generators, "generators")
     if model.kind == "floquet":
         if tokens != ["exact"]:
             raise ModelFormatError(
@@ -566,18 +564,24 @@ def cmd_simulate(args) -> int:
                                  StateVector(psi0, model.labels), times)
         chunks = {"exact": _series_csv(series)}
     else:
-        dim = model.hamiltonian.shape[0]
-        psi0 = _parse_psi0(args.psi0, dim)
+        h = model.hamiltonian
+        psi0 = _parse_psi0(args.psi0, h.shape[0])
+        if any(token != "exact" for token in tokens):
+            ph = partition_hamiltonian(h, model.slow_indices)
+            # Slow generators take psi0's slow components as given.
+            slow = StateVector(psi0[list(ph.slow_indices)],
+                               tuple(model.labels[i] for i in ph.slow_indices))
+        else:  # exact alone needs the matrix checks, not the partition
+            h = partition._checked_hamiltonian(h)
         chunks = {}
         for token in tokens:
-            series = _generator_series(model, token, psi0, times)
+            series = (evolve_constant(h, StateVector(psi0, model.labels), times)
+                      if token == "exact" else
+                      evolve_constant(_generator(ph, token), slow, times))
             chunks[token] = _series_csv(series)
     if args.out is None or args.out == "-":
-        parts = []
-        for token in tokens:
-            parts.append(f"# generator: {token}\n")
-            parts.append(chunks[token])
-        sys.stdout.write("".join(parts))
+        _write_text(args.out, "".join(f"# generator: {token}\n{chunks[token]}"
+                                      for token in tokens))
     else:
         for token in tokens:
             _write_text(f"{args.out}_{token}.csv", chunks[token])
@@ -593,45 +597,39 @@ _EFFECTIVE_ROUTES = {"adiabatic": "adiabatic", "sw": "sw_first",
                      "iterate": "iterate"}
 
 
-def _quasi_for(token: str, spec: FloquetSpec, steps, cutoff):
-    if token == "monodromy":
-        return quasi_energies_monodromy(spec, steps)
-    if token == "diag":
-        return quasi_energies_diag(spec, cutoff)
-    if token in _EFFECTIVE_ROUTES:
-        return quasi_energies_effective(spec, _EFFECTIVE_ROUTES[token],
-                                        cutoff=cutoff)
-    match = _PERTURB.match(token)
-    if match:
-        return quasi_energies_effective(
-            spec, f"bloch_order_{int(match.group(1))}", cutoff=cutoff)
+def _quasi_values(token: str, spec: FloquetSpec, steps, cutoff):
     if token == "hf1":
         h = first_order_floquet_hamiltonian(spec)
-        values = fold_quasienergy(hermitian_eig(h).values,
-                                  spec.drive_frequency)
-        return QuasiEnergySet(values=np.sort(values), method="hf1",
-                              drive_frequency=spec.drive_frequency)
-    raise ModelFormatError(f"unknown quasi-energy method {token!r}")
+        return np.sort(fold_quasienergy(matrixkit.hermitian_eig(h).values,
+                                        spec.drive_frequency))
+    if token == "monodromy":
+        return quasi_energies_monodromy(spec, steps).values
+    if token == "diag":
+        return quasi_energies_diag(spec, cutoff).values
+    match = _PERTURB.match(token)
+    if match:
+        method = f"bloch_order_{int(match.group(1))}"
+    elif token in _EFFECTIVE_ROUTES:
+        method = _EFFECTIVE_ROUTES[token]
+    else:
+        raise ModelFormatError(f"unknown quasi-energy method {token!r}")
+    return quasi_energies_effective(spec, method, cutoff=cutoff).values
 
 
 def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
     """Quasi-energies per token and their largest deviation from the first."""
-    rows = [_quasi_for(token, spec, steps, cutoff).values for token in tokens]
+    rows = [_quasi_values(token, spec, steps, cutoff) for token in tokens]
     return [(values, float(np.max(np.abs(values - rows[0]))))
             for values in rows]
 
 
 def _scaled_spec(spec: FloquetSpec, name: str, value: float) -> FloquetSpec:
-    freq, comps = spec.drive_frequency, dict(spec.components)
     if name == "drive_frequency":
-        freq = float(value)
-    elif name in ("scale", "h0_scale"):
-        # "scale" multiplies the drive harmonics, "h0_scale" the static part.
-        comps = {k: m * value if (k == 0) == (name == "h0_scale") else m
-                 for k, m in comps.items()}
-    else:
-        raise ModelFormatError(f"unknown sweep parameter {name!r}")
-    return FloquetSpec(dim=spec.dim, drive_frequency=freq, components=comps)
+        return replace(spec, drive_frequency=value)
+    # "scale" multiplies the drive harmonics, "h0_scale" the static part.
+    return replace(spec, components={
+        k: m * value if (k == 0) == (name == "h0_scale") else m
+        for k, m in spec.components.items()})
 
 
 def cmd_floquet(args) -> int:
@@ -639,37 +637,32 @@ def cmd_floquet(args) -> int:
     if model.kind != "floquet":
         raise ModelFormatError("the floquet command needs a floquet model")
     spec = model.floquet
-    tokens = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    if not tokens:
-        raise ModelFormatError("no methods requested")
+    tokens = _comma_list(args.methods, "methods")
     d = spec.dim
     if args.sweep is None:
-        lines = [_csv_line(["method"] + [f"q_{i}" for i in range(d)]
-                           + ["max_dev"])]
         rows = _quasi_rows(tokens, spec, args.steps, args.cutoff)
-        for token, (values, dev) in zip(tokens, rows):
-            lines.append(_csv_line([token] + [_fmt_cell(x) for x in values]
-                                   + [_fmt_cell(dev)]))
-        _write_text(args.out, "".join(lines))
+        _write_text(args.out, _csv(
+            [["method", *(f"q_{i}" for i in range(d)), "max_dev"]]
+            + [[token, *values, dev]
+               for token, (values, dev) in zip(tokens, rows)]))
         return 0
-    name, values = _parse_sweep(args.sweep)
-    header = [name]
-    for token in tokens:
-        header += [f"{token}_q{i}" for i in range(d)]
-        header.append(f"{token}_dev")
-    lines = [_csv_line(header)]
-    for value in values:
+
+    def cells(name: str, value: float) -> list:
         swept = _scaled_spec(spec, name, float(value))
-        cells = [_fmt_cell(value)]
-        for qs, dev in _quasi_rows(tokens, swept, args.steps, args.cutoff):
-            cells += [_fmt_cell(x) for x in qs] + [_fmt_cell(dev)]
-        lines.append(_csv_line(cells))
-    _write_text(args.out, "".join(lines))
-    return 0
+        rows = _quasi_rows(tokens, swept, args.steps, args.cutoff)
+        return [x for values, dev in rows for x in (*values, dev)]
+
+    header = [f"{token}_{col}" for token in tokens
+              for col in [*(f"q{i}" for i in range(d)), "dev"]]
+    names = ("drive_frequency", "scale", "h0_scale")
+    return _sweep(args, names, header, cells)
 
 
 # ---------------------------------------------------------------------------
 # export
+
+
+PRESETS = {"lambda": lambda_model_dict, "driven-qubit": driven_qubit_dict}
 
 
 def _parse_overrides(pairs) -> dict:
@@ -678,22 +671,12 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ModelFormatError(f"override {pair!r} must look like key=value")
         key, _, raw = pair.partition("=")
-        try:
-            out[key.strip()] = complex(raw.strip().replace("i", "j"))
-        except ValueError as exc:
-            raise ModelFormatError(
-                f"cannot parse override {pair!r}: {exc}") from exc
+        out[key.strip()] = _parse_complex(raw, f"override {pair!r}")
     return out
 
 
 def cmd_export(args) -> int:
-    overrides = _parse_overrides(args.set)
-    if args.preset == "lambda":
-        doc = lambda_model_dict(overrides)
-    elif args.preset == "driven-qubit":
-        doc = driven_qubit_dict(overrides)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ModelFormatError(f"unknown preset {args.preset!r}")
+    doc = PRESETS[args.preset](_parse_overrides(args.set))
     _write_text(args.out, dumps_json(doc) + "\n")
     return 0
 
@@ -753,8 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flo.set_defaults(func=cmd_floquet)
 
     p_exp = sub.add_parser("export", help="write a preset model file")
-    p_exp.add_argument("--preset", required=True,
-                       choices=["lambda", "driven-qubit"])
+    p_exp.add_argument("--preset", required=True, choices=list(PRESETS))
     p_exp.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a preset parameter (repeatable)")

@@ -99,8 +99,8 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
-                    kind: str | None = None) -> TimeSeries:
+def evolve_constant(matrix: np.ndarray, state: StateVector,
+                    times) -> TimeSeries:
     """Evolve a state under a constant generator ``exp(-i A t)``.
 
     Generators hermitian to ``matrixkit.HERM_TOL`` are hermitized,
@@ -120,7 +120,7 @@ def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
         coeff = ed.vectors.conj().T @ psi0
         phases = np.exp(-1j * np.outer(t, ed.values))
         amps = phases * coeff[None, :] @ ed.vectors.T
-        label = kind or "hermitian_constant"
+        label = "hermitian_constant"
     else:
         if np.any(np.diff(t) < 0.0):
             raise ValueError(
@@ -136,7 +136,7 @@ def evolve_constant(matrix: np.ndarray, state: StateVector, times, *,
                     steppers[dt] = matrixkit.expm(-1j * a * dt)
                 psi = steppers[dt] @ psi
             amps[i + 1] = psi
-        label = kind or "nonhermitian_constant"
+        label = "nonhermitian_constant"
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,
                       generator_kind=label)
 

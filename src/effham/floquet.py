@@ -321,9 +321,12 @@ def _diag_values(spec: FloquetSpec, cutoff: int) -> np.ndarray:
     return np.sort(fold_quasienergy(ed.values[chosen], spec.drive_frequency))
 
 
-def _auto_cutoff(spec: FloquetSpec, evaluate) -> tuple[np.ndarray, int]:
-    """Double the cutoff until the folded values move at most
-    ``CUTOFF_TARGET``."""
+def _auto_cutoff(spec: FloquetSpec, evaluate,
+                 cutoff: int | None = None) -> tuple[np.ndarray, int]:
+    """``evaluate`` at ``cutoff`` if one is given; otherwise double the
+    cutoff until the folded values move at most ``CUTOFF_TARGET``."""
+    if cutoff is not None:
+        return evaluate(cutoff), cutoff
     cutoff = max(4, 2 * spec.max_harmonic)
     prev = evaluate(cutoff)
     while 2 * cutoff <= CUTOFF_CAP:
@@ -346,10 +349,7 @@ def quasi_energies_diag(spec: FloquetSpec,
     is doubled until the folded values settle to ``CUTOFF_TARGET``
     (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).
     """
-    if cutoff is None:
-        values, used = _auto_cutoff(spec, lambda n: _diag_values(spec, n))
-    else:
-        values, used = _diag_values(spec, cutoff), cutoff
+    values, used = _auto_cutoff(spec, lambda n: _diag_values(spec, n), cutoff)
     return QuasiEnergySet(values=values, method="floquet_diag",
                           drive_frequency=spec.drive_frequency, cutoff=used)
 
@@ -390,11 +390,8 @@ def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
     in :func:`quasi_energies_diag`.
     """
     route = _effective_route(method)
-    if cutoff is None:
-        values, used = _auto_cutoff(
-            spec, lambda n: _effective_values(spec, n, route))
-    else:
-        values, used = _effective_values(spec, cutoff, route), cutoff
+    values, used = _auto_cutoff(
+        spec, lambda n: _effective_values(spec, n, route), cutoff)
     return QuasiEnergySet(values=values, method=f"effective_{method}",
                           drive_frequency=spec.drive_frequency, cutoff=used)
 

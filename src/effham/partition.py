@@ -119,6 +119,13 @@ class PartitionedHamiltonian:
         return out
 
 
+def _checked_hamiltonian(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a square complex array, hermitian to ``HERM_TOL``."""
+    h = matrixkit._require_square(matrixkit.as_matrix(matrix, "hamiltonian"),
+                                  "hamiltonian")
+    return matrixkit.require_hermitian(h, tol=HERM_TOL, name="hamiltonian")
+
+
 def partition_hamiltonian(matrix: np.ndarray,
                           slow_indices) -> PartitionedHamiltonian:
     """Partition a hermitian matrix along the given slow indices.
@@ -134,9 +141,7 @@ def partition_hamiltonian(matrix: np.ndarray,
         or :class:`SingularFastBlock` is raised, because every elimination
         formula divides by it.
     """
-    h = matrixkit._require_square(matrixkit.as_matrix(matrix, "hamiltonian"),
-                                  "hamiltonian")
-    matrixkit.require_hermitian(h, tol=HERM_TOL, name="hamiltonian")
+    h = _checked_hamiltonian(matrix)
     n = h.shape[0]
     slow = sorted({int(i) for i in slow_indices})
     for i in slow:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import effham
-from effham import __version__
+from effham import __version__, partition_hamiltonian
 from effham.cli import (
     _fmt_cell,
     dumps_json,
@@ -180,6 +180,39 @@ def test_solve_sweep_bad_spec(tmp_path):
     assert main(["solve", model, "--sweep", "bogus:0:1:3"]) == 2
 
 
+def test_solve_sweep_row_equals_the_single_solve(tmp_path, capsys):
+    model = write_lambda(tmp_path)
+    assert main(["solve", model, "--method", "iterate",
+                 "--sweep", "rabi_a:0.1:0.4:4"]) == 0
+    header, _, row, *_ = capsys.readouterr().out.splitlines()
+    sweep = dict(zip(header.split(","), map(float, row.split(","))))
+    assert sweep["rabi_a"] == 0.2
+    single = tmp_path / "single.json"
+    assert main(["export", "--preset", "lambda", "--set", "rabi_a=0.2",
+                 "--out", str(single)]) == 0
+    assert main(["solve", str(single), "--method", "iterate"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [sweep["eig_0"], sweep["eig_1"]] == report["spectrum"]
+    for key in ("bloch_residual", "epsilon", "epsilon_prime", "radius"):
+        assert sweep[key] == report[key]
+
+
+@pytest.mark.parametrize("write, argv, code, message", [
+    (write_lambda, ["solve", "--sweep", "gap:-1:1:3"], 3, "SingularFastBlock"),
+    (write_qubit, ["floquet", "--methods", "monodromy", "--steps", "100",
+                   "--sweep", "scale:1:20:3"], 2, "refine the grid"),
+])
+def test_sweep_stops_at_the_first_failing_point(tmp_path, capsys, write,
+                                                argv, code, message):
+    argv = [argv[0], write(tmp_path), *argv[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_exit_code_for_unreadable_and_invalid_models(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -336,6 +369,52 @@ def test_simulate_psi0_parsing(tmp_path, capsys):
                  "--psi0", "1,bad,0"]) == 2
     assert main(["simulate", model, "--tmax", "1.0", "--samples", "2",
                  "--psi0", "1,0"]) == 2
+
+
+SINGULAR_FAST = [[0.1, 0, 0.05], [0, -0.1, 0.02], [0.05, 0.02, 0]]
+
+
+@pytest.mark.parametrize("hamiltonian, slow, error", [
+    (SINGULAR_FAST, [0, 1], "SingularFastBlock"),
+    ([[0.1, 0.01], [0.01, -0.1]], [0, 1], "EmptyPartition"),
+])
+def test_simulate_exact_alone_needs_no_partition(tmp_path, capsys,
+                                                 hamiltonian, slow, error):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"matrix": {"hamiltonian": hamiltonian,
+                                            "slow_indices": slow}}))
+    argv = ["simulate", str(model), "--tmax", "1.0", "--samples", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# generator: exact" and len(lines) == 5
+    prefix = tmp_path / "run"
+    assert main(argv + ["--generators", "exact,adiabatic",
+                        "--out", str(prefix)]) == 3
+    assert error in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_simulate_exact_alone_still_checks_the_matrix(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"matrix": {
+        "hamiltonian": [[0.1, 0.3], [0.0, -0.1]], "slow_indices": [0, 1]}}))
+    assert main(["simulate", str(model), "--tmax", "1.0"]) == 3
+    assert "NotHermitian: hamiltonian" in capsys.readouterr().err
+
+
+def test_simulate_partitions_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return partition_hamiltonian(*args)
+
+    monkeypatch.setattr("effham.cli.partition_hamiltonian", counted)
+    model = write_lambda(tmp_path)
+    assert main(["simulate", model, "--tmax", "1.0", "--samples", "3",
+                 "--generators", "exact,adiabatic,second,sw,iterate3,herm3",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_unknown_generator(tmp_path):
