@@ -37,13 +37,12 @@ from .effective import (
 from .errors import ToolkitError
 from .floquet import (
     FloquetSpec,
+    _ladder_quasi_energies,
     first_order_floquet_hamiltonian,
     fold_quasienergy,
-    quasi_energies_diag,
-    quasi_energies_effective,
     quasi_energies_monodromy,
 )
-from .partition import coupling_scales, partition_hamiltonian
+from .partition import coupling_scales, partition_hamiltonian, spectral_gap
 from .schriefferwolff import (
     embedding_from_generator,
     first_order_generator,
@@ -162,6 +161,14 @@ def parse_complex_entry(value) -> complex:
         f"expected a number or a [re, im] pair, got {value!r}")
 
 
+def _real_entry(value, name: str) -> float:
+    """``value`` as a float; a nonzero imaginary part is rejected."""
+    z = complex(value)
+    if z.imag != 0.0:
+        raise ModelFormatError(f"{name} must be real, got {z}")
+    return z.real
+
+
 def parse_matrix_entry(value, name: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ModelFormatError(f"{name} must be a non-empty list of rows")
@@ -228,7 +235,7 @@ def _lambda_value(name: str, x) -> float | complex:
     are complex, detuning and gap real."""
     if isinstance(LAMBDA_DEFAULTS[name], complex):
         return complex(x)
-    return float(np.real(x))
+    return _real_entry(x, name)
 
 
 def lambda_model_dict(params: dict | None = None) -> dict:
@@ -239,20 +246,21 @@ def lambda_model_dict(params: dict | None = None) -> dict:
         for k, x in values.items()}}
 
 
+def _floquet_dict(dim: int, drive_frequency: float, comps: dict) -> dict:
+    return {"floquet": {"dim": dim, "drive_frequency": drive_frequency,
+                        "components": {str(k): matrix_to_json(comps[k])
+                                       for k in sorted(comps)}}}
+
+
 def driven_qubit_dict(params: dict | None = None) -> dict:
     p = _with_overrides(DRIVEN_QUBIT_DEFAULTS, params, "driven-qubit")
     g = complex(p["coupling"])
-    delta = float(np.real(p["detuning"]))
-    comps = {
-        "-1": [[0.0, g], [0.0, 0.0]],
-        "0": [[0.5 * delta, 0.0], [0.0, -0.5 * delta]],
-        "1": [[0.0, 0.0], [np.conj(g), 0.0]],
-    }
-    return {"floquet": {
-        "dim": 2,
-        "drive_frequency": float(np.real(p["drive_frequency"])),
-        "components": {k: matrix_to_json(m) for k, m in comps.items()},
-    }}
+    delta = _real_entry(p["detuning"], "detuning")
+    omega = _real_entry(p["drive_frequency"], "drive_frequency")
+    return _floquet_dict(2, omega, {
+        -1: [[0.0, g], [0.0, 0.0]],
+        0: [[0.5 * delta, 0.0], [0.0, -0.5 * delta]],
+        1: [[0.0, 0.0], [np.conj(g), 0.0]]})
 
 
 def _parse_lambda(payload: dict) -> Model:
@@ -290,7 +298,8 @@ def _parse_floquet(payload: dict) -> Model:
     dim = payload["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelFormatError("floquet dim must be a positive integer")
-    freq = parse_complex_entry(payload["drive_frequency"]).real
+    freq = _real_entry(parse_complex_entry(payload["drive_frequency"]),
+                       "drive_frequency")
     comps_in = payload["components"]
     if not isinstance(comps_in, dict) or not comps_in:
         raise ModelFormatError(
@@ -345,13 +354,7 @@ def model_to_dict(model: Model) -> dict:
     if model.kind == "lambda_system":
         return lambda_model_dict(model.params)
     spec = model.floquet
-    comps = {str(k): matrix_to_json(spec.components[k])
-             for k in sorted(spec.components)}
-    return {"floquet": {
-        "dim": spec.dim,
-        "drive_frequency": spec.drive_frequency,
-        "components": comps,
-    }}
+    return _floquet_dict(spec.dim, spec.drive_frequency, spec.components)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +395,6 @@ def _parse_complex(text: str, what: str) -> complex:
         return complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise ModelFormatError(f"cannot parse {what}: {exc}") from exc
-
-
-def _partition_model(model: Model):
-    ph = partition_hamiltonian(model.hamiltonian, model.slow_indices)
-    scales = coupling_scales(ph)
-    print(f"epsilon = {scales.epsilon:.6g}, "
-          f"epsilon_prime = {scales.epsilon_prime:.6g}, "
-          f"spectral_gap = {scales.spectral_gap:.6g}", file=sys.stderr)
-    if scales.radius is None:
-        print("warning: contraction hypothesis violated; no certified "
-              "invariant ball", file=sys.stderr)
-    else:
-        print(f"invariant-ball radius = {scales.radius:.6g}", file=sys.stderr)
-    return ph, scales
 
 
 def _solve_once(ph, method: str, order: int, tol: float):
@@ -458,7 +447,16 @@ def cmd_solve(args) -> int:
             "periodic models are handled by the floquet command")
     if args.sweep:
         return _solve_sweep(args, model)
-    ph, scales = _partition_model(model)
+    ph = partition_hamiltonian(model.hamiltonian, model.slow_indices)
+    scales, gap = coupling_scales(ph), spectral_gap(ph)
+    print(f"epsilon = {scales.epsilon:.6g}, "
+          f"epsilon_prime = {scales.epsilon_prime:.6g}, "
+          f"spectral_gap = {gap:.6g}", file=sys.stderr)
+    if scales.radius is None:
+        print("warning: contraction hypothesis violated; no certified "
+              "invariant ball", file=sys.stderr)
+    else:
+        print(f"invariant-ball radius = {scales.radius:.6g}", file=sys.stderr)
     op, be = _solve_once(ph, args.method, args.order, args.tol)
     full = matrixkit.hermitian_eig(model.hamiltonian).values
     report = {
@@ -477,7 +475,7 @@ def cmd_solve(args) -> int:
         "epsilon_prime": scales.epsilon_prime,
         "radius": scales.radius,
         "radius_small": scales.radius_small,
-        "spectral_gap": scales.spectral_gap,
+        "spectral_gap": gap,
         "full_spectrum": vector_to_json(full),
     }
     _write_text(args.out, dumps_json(report) + "\n")
@@ -593,32 +591,36 @@ def cmd_simulate(args) -> int:
 
 
 _PERTURB = re.compile(r"^perturb(\d+)$")
-_EFFECTIVE_ROUTES = {"adiabatic": "adiabatic", "sw": "sw_first",
-                     "iterate": "iterate"}
+# floquet token -> ladder-loop method; None marks the cutoff-free tokens
+_TOKEN_METHODS = {"monodromy": None, "hf1": None, "diag": "diag",
+                  "adiabatic": "adiabatic", "sw": "sw_first",
+                  "iterate": "iterate"}
 
 
-def _quasi_values(token: str, spec: FloquetSpec, steps, cutoff):
-    if token == "hf1":
-        h = first_order_floquet_hamiltonian(spec)
-        return np.sort(fold_quasienergy(matrixkit.hermitian_eig(h).values,
-                                        spec.drive_frequency))
+def _cutoff_free_values(token: str, spec: FloquetSpec, steps) -> np.ndarray:
     if token == "monodromy":
         return quasi_energies_monodromy(spec, steps).values
-    if token == "diag":
-        return quasi_energies_diag(spec, cutoff).values
-    match = _PERTURB.match(token)
-    if match:
-        method = f"bloch_order_{int(match.group(1))}"
-    elif token in _EFFECTIVE_ROUTES:
-        method = _EFFECTIVE_ROUTES[token]
-    else:
-        raise ModelFormatError(f"unknown quasi-energy method {token!r}")
-    return quasi_energies_effective(spec, method, cutoff=cutoff).values
+    h = first_order_floquet_hamiltonian(spec)
+    return np.sort(fold_quasienergy(matrixkit.hermitian_eig(h).values,
+                                    spec.drive_frequency))
 
 
 def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
-    """Quasi-energies per token and their largest deviation from the first."""
-    rows = [_quasi_values(token, spec, steps, cutoff) for token in tokens]
+    """Quasi-energies per token and their largest deviation from the first.
+    Every token is checked before any work; the cutoff-free rows come
+    first, then one ladder loop serves every ladder token."""
+    methods = {}
+    for token in tokens:
+        match = _PERTURB.match(token)
+        if match is None and token not in _TOKEN_METHODS:
+            raise ModelFormatError(f"unknown quasi-energy method {token!r}")
+        methods[token] = (f"bloch_order_{int(match[1])}" if match
+                          else _TOKEN_METHODS[token])
+    free = {token: _cutoff_free_values(token, spec, steps)
+            for token, method in methods.items() if method is None}
+    ladder = _ladder_quasi_energies(spec, filter(None, methods.values()), cutoff)
+    rows = [free[t] if methods[t] is None else ladder[methods[t]][0]
+            for t in tokens]
     return [(values, float(np.max(np.abs(values - rows[0]))))
             for values in rows]
 

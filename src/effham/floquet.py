@@ -193,12 +193,10 @@ def build_floquet(spec: FloquetSpec,
     size = n_blocks * d
     out = np.zeros((size, size), dtype=complex)
     for k, comp in sorted(spec.components.items()):
-        for m in range(-cutoff, cutoff + 1):
-            mp = m + k
-            if -cutoff <= mp <= cutoff:
-                r = (mp + cutoff) * d
-                c = (m + cutoff) * d
-                out[r:r + d, c:c + d] += comp
+        # block (m + k, m) for every m with both harmonics inside the cutoff
+        for m in range(max(-cutoff, -cutoff - k), min(cutoff, cutoff - k) + 1):
+            r, c = (m + k + cutoff) * d, (m + cutoff) * d
+            out[r:r + d, c:c + d] += comp
     shifts = -spec.drive_frequency * np.arange(-cutoff, cutoff + 1)
     out[np.arange(size), np.arange(size)] += np.repeat(shifts, d)
     return TruncatedFloquetOperator(matrix=matrixkit.hermitize(out),
@@ -232,15 +230,13 @@ def fold_quasienergy(values, drive_frequency: float):
         raise ValueError(
             f"drive frequency must be positive, got {drive_frequency}")
     x = np.asarray(values, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     w = drive_frequency
     folded = x - w * np.floor(x / w + 0.5)
     # Rounding can leave a value just past either edge; shifting it by w is
     # exact there (Sterbenz), which also makes folding idempotent.
     folded = np.where(folded <= -0.5 * w, folded + w, folded)
     folded = np.where(folded > 0.5 * w, folded - w, folded)
-    return float(folded[0]) if scalar else folded
+    return float(folded) if x.ndim == 0 else folded
 
 
 def _propagator(spec: FloquetSpec, start: float, stop: float,
@@ -311,47 +307,12 @@ def quasi_energies_monodromy(spec: FloquetSpec,
                           drive_frequency=spec.drive_frequency, **report)
 
 
-def _diag_values(spec: FloquetSpec, cutoff: int) -> np.ndarray:
-    tfo = build_floquet(spec, cutoff)
+def _diag_energies(tfo: TruncatedFloquetOperator) -> np.ndarray:
+    """Ladder eigenvalues of largest zero-harmonic weight, one per state."""
     ed = matrixkit.hermitian_eig(tfo.matrix)
     rows = np.asarray(tfo.zero_harmonic_indices)
-    chosen = matrixkit._heaviest_columns(
-        ed.vectors[rows, :], spec.dim, ZERO_HARMONIC_WEIGHT_GAP,
-        "zero-harmonic")
-    return np.sort(fold_quasienergy(ed.values[chosen], spec.drive_frequency))
-
-
-def _auto_cutoff(spec: FloquetSpec, evaluate,
-                 cutoff: int | None = None) -> tuple[np.ndarray, int]:
-    """``evaluate`` at ``cutoff`` if one is given; otherwise double the
-    cutoff until the folded values move at most ``CUTOFF_TARGET``."""
-    if cutoff is not None:
-        return evaluate(cutoff), cutoff
-    cutoff = max(4, 2 * spec.max_harmonic)
-    prev = evaluate(cutoff)
-    while 2 * cutoff <= CUTOFF_CAP:
-        cutoff *= 2
-        cur = evaluate(cutoff)
-        if float(np.max(np.abs(cur - prev))) <= CUTOFF_TARGET:
-            return cur, cutoff
-        prev = cur
-    raise ConvergenceFailure(
-        f"quasi-energies still moving at harmonic cutoff {CUTOFF_CAP}")
-
-
-def quasi_energies_diag(spec: FloquetSpec,
-                        cutoff: int | None = None) -> QuasiEnergySet:
-    """Quasi-energies from direct diagonalization of the truncated operator.
-
-    One eigenvalue is kept per system state, chosen by largest
-    zero-harmonic weight (:class:`OracleAmbiguous` if the weight gap is
-    below ``ZERO_HARMONIC_WEIGHT_GAP``).  With ``cutoff=None`` the cutoff
-    is doubled until the folded values settle to ``CUTOFF_TARGET``
-    (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).
-    """
-    values, used = _auto_cutoff(spec, lambda n: _diag_values(spec, n), cutoff)
-    return QuasiEnergySet(values=values, method="floquet_diag",
-                          drive_frequency=spec.drive_frequency, cutoff=used)
+    return ed.values[matrixkit._heaviest_columns(
+        ed.vectors[rows, :], tfo.dim, ZERO_HARMONIC_WEIGHT_GAP, "zero-harmonic")]
 
 
 def _effective_route(method: str):
@@ -373,10 +334,52 @@ def _effective_route(method: str):
         f"sw_first, iterate, or bloch_order_<k>")
 
 
-def _effective_values(spec: FloquetSpec, cutoff: int, route) -> np.ndarray:
-    op = route(floquet_partition(build_floquet(spec, cutoff)))
-    energies = matrixkit.hermitian_eig(op.matrix).values
-    return np.sort(fold_quasienergy(energies, spec.drive_frequency))
+def _ladder_quasi_energies(spec: FloquetSpec, methods,
+                           cutoff: int | None = None) -> dict:
+    """``{method: (values, cutoff)}`` for ``diag`` and effective method
+    names, all checked before any ladder.  Each cutoff builds one ladder
+    for the unfinished methods, in order, and partitions it at most once;
+    each method stops at its own cutoff, as in :func:`quasi_energies_diag`."""
+    routes = {m: None if m == "diag" else _effective_route(m) for m in methods}
+    n = max(4, 2 * spec.max_harmonic) if cutoff is None else cutoff
+    done, prev = {}, {}
+    while len(done) < len(routes):
+        tfo, ph = build_floquet(spec, n), None
+        for method, route in routes.items():
+            if method in done:
+                continue
+            if route is None:
+                energies = _diag_energies(tfo)
+            else:
+                ph = floquet_partition(tfo) if ph is None else ph
+                energies = matrixkit.hermitian_eig(route(ph).matrix).values
+            values = np.sort(fold_quasienergy(energies, spec.drive_frequency))
+            if cutoff is not None or (method in prev and float(
+                    np.max(np.abs(values - prev[method]))) <= CUTOFF_TARGET):
+                done[method] = (values, n)
+            elif 2 * n > CUTOFF_CAP:
+                raise ConvergenceFailure("quasi-energies still moving at "
+                                         f"harmonic cutoff {CUTOFF_CAP}")
+            prev[method] = values
+        tfo = ph = None  # one ladder alive at a time
+        n *= 2
+    return done
+
+
+def quasi_energies_diag(spec: FloquetSpec,
+                        cutoff: int | None = None) -> QuasiEnergySet:
+    """Quasi-energies from direct diagonalization of the truncated operator.
+
+    One eigenvalue is kept per system state, chosen by largest
+    zero-harmonic weight (:class:`OracleAmbiguous` if the weight gap is
+    below ``ZERO_HARMONIC_WEIGHT_GAP``).  With ``cutoff=None`` the cutoff
+    is doubled until the folded values settle to ``CUTOFF_TARGET``
+    (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).  This is the ladder
+    loop of every Floquet method, run for ``diag`` alone (no partition).
+    """
+    values, used = _ladder_quasi_energies(spec, ["diag"], cutoff)["diag"]
+    return QuasiEnergySet(values=values, method="floquet_diag",
+                          drive_frequency=spec.drive_frequency, cutoff=used)
 
 
 def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
@@ -386,12 +389,11 @@ def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
     ``method`` selects the effective operator: ``adiabatic``, ``sw_first``,
     ``iterate`` (fixed point to :func:`iterate_bloch`'s default ``tol``),
     or ``bloch_order_<k>`` (series through order ``k >= 1``); any other
-    name raises ValueError before a ladder is built.  Cutoff handling as
-    in :func:`quasi_energies_diag`.
+    name raises ValueError before a ladder is built.  The ladder loop of
+    :func:`quasi_energies_diag` runs for this one method.
     """
-    route = _effective_route(method)
-    values, used = _auto_cutoff(
-        spec, lambda n: _effective_values(spec, n, route), cutoff)
+    _effective_route(method)  # also rejects "diag", which only the loop takes
+    values, used = _ladder_quasi_energies(spec, [method], cutoff)[method]
     return QuasiEnergySet(values=values, method=f"effective_{method}",
                           drive_frequency=spec.drive_frequency, cutoff=used)
 
@@ -411,16 +413,13 @@ def restricted_inverse_series(tfo: TruncatedFloquetOperator,
     """
     if order < 0:
         raise ValueError(f"series order must be >= 0, got {order}")
-    n, d, w = tfo.cutoff, tfo.dim, tfo.drive_frequency
-    fast_harmonics = [m for m in tfo.harmonics if m != 0]
-    k_inv = np.repeat(np.asarray(fast_harmonics, dtype=float) ** -1, d)
-    slow_rows = set(tfo.zero_harmonic_indices)
-    rows = [i for i in range(tfo.matrix.shape[0]) if i not in slow_rows]
-    fast = tfo.matrix[np.ix_(rows, rows)]
+    w = tfo.drive_frequency
+    k = np.repeat([float(m) for m in tfo.harmonics if m != 0], tfo.dim)
+    k_inv = k ** -1
+    zero = list(tfo.zero_harmonic_indices)
     # fast = -w K + V, so V = fast + w K.
-    v = fast.copy()
-    v[np.arange(len(rows)), np.arange(len(rows))] += w * np.repeat(
-        np.asarray(fast_harmonics, dtype=float), d)
+    v = np.delete(np.delete(tfo.matrix, zero, 0), zero, 1)
+    v[np.diag_indices(k.size)] += w * k
     term = np.diag(-k_inv / w).astype(complex)
     total = term.copy()
     prev_norm = matrixkit.spectral_norm(term)

@@ -181,7 +181,6 @@ class CouplingScales:
     epsilon_prime: float
     radius: float | None
     radius_small: float | None
-    spectral_gap: float
 
 
 def invariance_radius(epsilon: float,
@@ -204,7 +203,7 @@ def invariance_radius(epsilon: float,
 
 
 def coupling_scales(ph: PartitionedHamiltonian) -> CouplingScales:
-    """Coupling scales, invariant-ball radii, and slow/fast spectral gap.
+    """Coupling scales and invariant-ball radii.
 
     Every norm is the spectral norm; ``||fast_block^-1||`` is
     ``1 / min|lam|``.
@@ -219,7 +218,6 @@ def coupling_scales(ph: PartitionedHamiltonian) -> CouplingScales:
         epsilon_prime=float(eps_prime),
         radius=large,
         radius_small=small,
-        spectral_gap=spectral_gap(ph),
     )
 
 

@@ -100,6 +100,30 @@ def test_export_qubit_round_trip(tmp_path):
     assert rebuilt == text
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("floquet", "drive_frequency", [10.0, 3.0]),
+    ("lambda_system", "gap", [1.0, 7.0]),
+    ("lambda_system", "detuning", [-0.0175, 5.0]),
+    ("export", "drive_frequency", "10+3i"),
+    ("export", "detuning", "0.5+2i"),
+])
+def test_real_parameters_reject_imaginary_parts(tmp_path, capsys, kind,
+                                                key, value):
+    if kind == "export":
+        argv = ["export", "--preset", "driven-qubit", "--set",
+                f"{key}={value}", "--out", str(tmp_path / "x.json")]
+    else:
+        path = write_qubit(tmp_path) if kind == "floquet" else write_lambda(
+            tmp_path)
+        doc = json.loads(Path(path).read_text())
+        doc[kind][key] = value
+        Path(path).write_text(json.dumps(doc))
+        argv = ["floquet" if kind == "floquet" else "solve", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{key} must be real" in captured.err
+
+
 def test_export_rejects_unknown_override(tmp_path):
     path = tmp_path / "x.json"
     code = main(["export", "--preset", "lambda", "--set", "bogus=1",
@@ -195,6 +219,22 @@ def test_solve_sweep_row_equals_the_single_solve(tmp_path, capsys):
     assert [sweep["eig_0"], sweep["eig_1"]] == report["spectrum"]
     for key in ("bloch_residual", "epsilon", "epsilon_prime", "radius"):
         assert sweep[key] == report[key]
+
+
+def test_solve_sweep_decomposes_the_slow_block_once_per_point(
+        tmp_path, capsys, monkeypatch):
+    model = write_lambda(tmp_path)
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["solve", model, "--method", "adiabatic",
+                 "--sweep", "gap:0.8:1.2:10"]) == 0
+    # The effective spectrum per point; the unprinted gap costs none.
+    assert shapes.count((2, 2)) == 10
 
 
 @pytest.mark.parametrize("write, argv, code, message", [
@@ -314,6 +354,65 @@ def test_floquet_rejects_non_floquet_model(tmp_path):
 def test_floquet_rejects_unknown_method(tmp_path):
     model = write_qubit(tmp_path)
     assert main(["floquet", model, "--methods", "magnus"]) == 2
+
+
+def _count_ladders(monkeypatch) -> tuple[list, list]:
+    """Record the cutoff of every ladder build and the shape of every
+    ``eigh``."""
+    import effham.floquet
+    cutoffs, shapes = [], []
+    build, eigh = effham.floquet.build_floquet, np.linalg.eigh
+
+    def counted_build(spec, cutoff):
+        cutoffs.append(cutoff)
+        return build(spec, cutoff)
+
+    def counted_eigh(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(effham.floquet, "build_floquet", counted_build)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    return cutoffs, shapes
+
+
+def test_floquet_methods_share_one_ladder_per_cutoff(tmp_path, capsys,
+                                                     monkeypatch):
+    model = write_qubit(tmp_path)
+    argv = ["floquet", model, "--methods", "diag,adiabatic,sw,iterate"]
+    cutoffs, shapes = _count_ladders(monkeypatch)
+    assert main(argv) == 0
+    assert cutoffs == [4, 8]
+    # One fast-block eigh per cutoff (fast dimension 2 * 2N), one dense
+    # ladder eigh per cutoff for diag.
+    assert shapes.count((16, 16)) == 1 and shapes.count((32, 32)) == 1
+    assert shapes.count((18, 18)) == 1 and shapes.count((34, 34)) == 1
+    cutoffs.clear()
+    assert main(["floquet", model, "--methods", "diag,adiabatic",
+                 "--sweep", "scale:0.5:1.5:5"]) == 0
+    assert len(cutoffs) == 10
+
+
+@pytest.mark.parametrize("overrides, argv, code", [
+    ({}, ["--methods", "adiabatic,magnus"], 2),
+    ({"coupling": 0, "detuning": 20}, ["--methods", "adiabatic,magnus"], 2),
+    ({"coupling": 0, "detuning": 20},
+     ["--methods", "adiabatic,monodromy", "--steps", "10"], 2),
+    ({"coupling": 0, "detuning": 20}, ["--methods", "diag"], 0),
+])
+def test_floquet_checks_tokens_then_runs_cutoff_free_rows_first(
+        tmp_path, capsys, monkeypatch, overrides, argv, code):
+    # On the resonant model (levels +-10 at drive frequency 10) every
+    # elimination route is singular; a bad token or --steps value is
+    # reported before any ladder is built.
+    model = write_qubit(tmp_path, **overrides)
+    cutoffs, _ = _count_ladders(monkeypatch)
+    assert main(["floquet", model, *argv]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert cutoffs == [] and "SingularFastBlock" not in err
+    else:
+        assert cutoffs == [4, 8]
 
 
 def test_simulate_stdout_sections(tmp_path, capsys):

@@ -1,20 +1,31 @@
 """Harmonic-lattice operator, quasi-energies, and high-frequency limits."""
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effham.bloch import iterate_bloch, perturbative_bloch
+from effham.effective import adiabatic_hamiltonian, hermitian_effective
 from effham.errors import (
     ConvergenceFailure,
     CutoffTooSmall,
     NotHermitian,
+    OracleAmbiguous,
     SeriesDiverging,
     ShapeMismatch,
     SingularFastBlock,
+    ToolkitError,
 )
 from effham.floquet import (
+    CUTOFF_CAP,
+    CUTOFF_TARGET,
+    ZERO_HARMONIC_WEIGHT_GAP,
     FloquetSpec,
+    _ladder_quasi_energies,
     build_floquet,
     first_order_floquet_hamiltonian,
     floquet_partition,
@@ -25,8 +36,11 @@ from effham.floquet import (
     quasi_energies_monodromy,
     restricted_inverse_series,
 )
-from effham.schriefferwolff import first_order_generator
-from ensembles import antihermitian_shift, random_hermitian
+from effham.schriefferwolff import (
+    first_order_generator,
+    sw_first_order_hamiltonian,
+)
+from ensembles import antihermitian_shift, drive_ensemble, random_hermitian
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -296,14 +310,108 @@ def test_effective_method_is_validated_before_the_ladder(monkeypatch):
             quasi_energies_effective(resonant_spec(), method)
 
 
-def test_auto_cutoff_gives_up_at_the_cap():
-    from effham.floquet import _auto_cutoff
+def test_auto_cutoff_gives_up_at_the_cap(monkeypatch):
+    import effham.floquet
 
-    def never_settles(cutoff: int) -> np.ndarray:
-        return np.array([0.0, 1.0 / np.log(cutoff)])
+    # A route whose value drifts with the ladder size never settles.
+    seen = []
 
+    def never_settles(method):
+        def route(ph):
+            seen.append(ph.fast_dim // 2)
+            return SimpleNamespace(matrix=np.array([[1.0 / np.log(ph.fast_dim)]]))
+        return route
+
+    monkeypatch.setattr(effham.floquet, "_effective_route", never_settles)
+    spec = FloquetSpec(dim=1, drive_frequency=10.0, components={0: [[0.3]]})
     with pytest.raises(ConvergenceFailure):
-        _auto_cutoff(resonant_spec(), never_settles)
+        _ladder_quasi_energies(spec, ["drifting"])
+    assert seen == [4, 8, 16, 32, 64, 128, CUTOFF_CAP]
+
+
+LADDER_METHODS = ("diag", "adiabatic", "sw_first", "iterate", "bloch_order_3")
+ROUTES = {
+    "adiabatic": adiabatic_hamiltonian,
+    "sw_first": sw_first_order_hamiltonian,
+    "iterate": lambda ph: hermitian_effective(ph, iterate_bloch(ph)),
+    "bloch_order_3": lambda ph: hermitian_effective(ph, perturbative_bloch(ph, 3)),
+}
+
+
+def _oracle(spec: FloquetSpec, method: str, cutoff: int) -> np.ndarray:
+    """One method at one cutoff on a ladder of its own, spelled out."""
+    tfo = build_floquet(spec, cutoff)
+    if method == "diag":
+        values, vectors = np.linalg.eigh(tfo.matrix)
+        rows = vectors[list(tfo.zero_harmonic_indices)]
+        weights = np.sum(np.abs(rows) ** 2, axis=0)
+        order = np.argsort(weights)[::-1]
+        d = spec.dim
+        if weights[order[d - 1]] - weights[order[d]] < ZERO_HARMONIC_WEIGHT_GAP:
+            raise OracleAmbiguous("zero-harmonic weights tie")
+        energies = values[np.sort(order[:d])]
+    else:
+        # eigh, not eigvalsh: the two LAPACK drivers differ in the last bits.
+        energies = np.linalg.eigh(ROUTES[method](floquet_partition(tfo)).matrix)[0]
+    return np.sort(fold_quasienergy(energies, spec.drive_frequency))
+
+
+def _oracle_auto(spec: FloquetSpec, method: str):
+    """``(values, cutoff)`` of the doubling cutoff, or ``(exception type,
+    cutoff)`` where the method failed."""
+    n, prev = max(4, 2 * spec.max_harmonic), None
+    while n <= CUTOFF_CAP:
+        try:
+            cur = _oracle(spec, method, n)
+        except ToolkitError as exc:
+            return type(exc), n
+        if prev is not None and np.max(np.abs(cur - prev)) <= CUTOFF_TARGET:
+            return cur, n
+        prev, n = cur, 2 * n
+    raise AssertionError("oracle did not settle")
+
+
+LOOP_SPECS = [*drive_ensemble(), resonant_spec(), two_harmonic_spec(),
+              resonant_spec(g=0.0, delta=20.0)]
+
+
+@pytest.mark.parametrize("spec", LOOP_SPECS,
+                         ids=[f"spec{i}" for i in range(len(LOOP_SPECS))])
+def test_ladder_loop_matches_single_method_oracle(spec):
+    expected = {m: _oracle_auto(spec, m) for m in LADDER_METHODS}
+    failures = sorted((n, LADDER_METHODS.index(m), result)
+                      for m, (result, n) in expected.items()
+                      if isinstance(result, type))
+    if failures:  # the first failure in (cutoff, method) order surfaces
+        with pytest.raises(failures[0][2]):
+            _ladder_quasi_energies(spec, LADDER_METHODS)
+    else:
+        got = _ladder_quasi_energies(spec, LADDER_METHODS)
+        for method, (values, n) in expected.items():
+            assert got[method][1] == n
+            assert np.array_equal(got[method][0], values)
+    for method, (result, n) in expected.items():
+        single = (partial(quasi_energies_diag, spec) if method == "diag" else
+                  partial(quasi_energies_effective, spec, method))
+        if isinstance(result, type):
+            with pytest.raises(result):
+                single()
+        else:
+            q = single()
+            assert q.cutoff == n and np.array_equal(q.values, result)
+
+
+def test_diag_alone_never_partitions(monkeypatch):
+    import effham.floquet
+
+    def no_partition(tfo):
+        raise AssertionError("diag partitioned the ladder")
+
+    # Levels +-10 at drive frequency 10: every harmonic copy is degenerate,
+    # so elimination is singular while direct diagonalization is not.
+    monkeypatch.setattr(effham.floquet, "floquet_partition", no_partition)
+    q = quasi_energies_diag(resonant_spec(g=0.0, delta=20.0))
+    assert np.array_equal(q.values, [0.0, 0.0]) and q.cutoff == 8
 
 
 def test_restricted_series_leading_term():

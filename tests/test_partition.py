@@ -52,12 +52,13 @@ def test_lambda_blocks():
 
 
 def test_lambda_coupling_scales_frozen():
-    scales = coupling_scales(lambda_partition())
+    ph = lambda_partition()
+    scales = coupling_scales(ph)
     assert scales.epsilon == pytest.approx(0.00875, abs=1e-16)
     assert scales.epsilon_prime == pytest.approx(0.25, abs=1e-15)
     assert scales.radius == pytest.approx(3.6943137311051104, abs=1e-12)
     assert scales.radius_small == pytest.approx(0.27068626889488939, abs=1e-13)
-    assert scales.spectral_gap == pytest.approx(0.99125, abs=1e-12)
+    assert spectral_gap(ph) == pytest.approx(0.99125, abs=1e-12)
     assert scales.radius * scales.radius_small == pytest.approx(1.0, abs=1e-12)
 
 
