@@ -37,6 +37,7 @@ from .effective import (
 from .errors import ToolkitError
 from .floquet import (
     FloquetSpec,
+    _effective_route,
     _ladder_quasi_energies,
     first_order_floquet_hamiltonian,
     fold_quasienergy,
@@ -616,6 +617,8 @@ def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
             raise ModelFormatError(f"unknown quasi-energy method {token!r}")
         methods[token] = (f"bloch_order_{int(match[1])}" if match
                           else _TOKEN_METHODS[token])
+        if methods[token] not in (None, "diag"):
+            _effective_route(methods[token])  # checks the order of perturb<k>
     free = {token: _cutoff_free_values(token, spec, steps)
             for token, method in methods.items() if method is None}
     ladder = _ladder_quasi_energies(spec, filter(None, methods.values()), cutoff)
@@ -728,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list: monodromy, diag, adiabatic, sw, "
                             "iterate, perturb<k>, hf1")
     p_flo.add_argument("--steps", type=int, default=None,
-                       help="substeps for the one-period propagator")
+                       help="fourth-order steps per period (two "
+                            "exponentials each)")
     p_flo.add_argument("--cutoff", type=int, default=None,
                        help="harmonic cutoff; doubled automatically if unset")
     p_flo.add_argument("--sweep", default=None,

@@ -415,6 +415,19 @@ def test_floquet_checks_tokens_then_runs_cutoff_free_rows_first(
         assert cutoffs == [4, 8]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--methods", "perturb0,monodromy", "--steps", "10"],
+    ["--methods", "perturb0,monodromy"],
+])
+def test_floquet_checks_series_order_before_any_work(
+        tmp_path, capsys, monkeypatch, argv):
+    model = write_qubit(tmp_path)
+    cutoffs, shapes = _count_ladders(monkeypatch)
+    assert main(["floquet", model, *argv]) == 2
+    assert "series order must be >= 1, got 0" in capsys.readouterr().err
+    assert cutoffs == [] and shapes == []
+
+
 def test_simulate_stdout_sections(tmp_path, capsys):
     model = write_lambda(tmp_path)
     assert main(["simulate", model, "--tmax", "1.0", "--samples", "3",

@@ -21,7 +21,7 @@ from effham.errors import (
     ZeroVector,
 )
 from effham import floquet
-from effham.floquet import FloquetSpec, _propagator, monodromy
+from effham.floquet import FloquetSpec, _propagator
 from ensembles import drive_ensemble
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -97,7 +97,7 @@ def test_periodic_strobe_matches_monodromy_powers():
     state = StateVector(np.array([1.0, 0.0]))
     strobe = np.arange(5) * spec.period
     series = evolve_periodic(spec, state, strobe, substeps_per_period=2048)
-    u = monodromy(spec, steps=2048)
+    u = _propagator(spec, 0.0, spec.period, 2048)
     psi = state.amplitudes.copy()
     for k in range(5):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-10

@@ -26,6 +26,7 @@ from effham.floquet import (
     ZERO_HARMONIC_WEIGHT_GAP,
     FloquetSpec,
     _ladder_quasi_energies,
+    _propagator,
     build_floquet,
     first_order_floquet_hamiltonian,
     floquet_partition,
@@ -188,9 +189,9 @@ def test_spec_pair_check_matches_reference_formula(n, seed, norm, ratio):
 def test_monodromy_records_default_step_count():
     spec = resonant_spec()
     q = quasi_energies_monodromy(spec)
-    assert q.steps == 4096
+    assert q.steps == 256
     assert np.array_equal(q.values,
-                          quasi_energies_monodromy(spec, steps=4096).values)
+                          quasi_energies_monodromy(spec, steps=256).values)
 
 
 def test_monodromy_validates_once_and_records_unitarity_defect(monkeypatch):
@@ -219,13 +220,42 @@ def test_monodromy_matches_closed_form():
     assert err < 1e-9
 
 
+def _eigenphase_energies(u: np.ndarray, w: float) -> np.ndarray:
+    return np.sort(fold_quasienergy(-np.angle(np.linalg.eigvals(u)) * w
+                                    / (2.0 * np.pi), w))
+
+
 def test_monodromy_second_order_step_convergence():
+    # The midpoint propagator that evolve_periodic runs on.
+    spec = resonant_spec()
+    target = np.array([-RESONANT_EXACT, RESONANT_EXACT])
+    w = spec.drive_frequency
+    errs = [np.max(np.abs(_eigenphase_energies(
+        _propagator(spec, 0.0, spec.period, n), w) - target))
+            for n in (10000, 20000)]
+    assert 2.5 < errs[0] / errs[1] < 6.0
+
+
+def test_monodromy_fourth_order_step_convergence():
     spec = resonant_spec()
     target = np.array([-RESONANT_EXACT, RESONANT_EXACT])
     errs = [np.max(np.abs(quasi_energies_monodromy(spec, steps=n).values
                           - target))
-            for n in (10000, 20000)]
-    assert 2.5 < errs[0] / errs[1] < 6.0
+            for n in (64, 128)]
+    assert 12.0 < errs[0] / errs[1] < 20.0
+
+
+def test_default_monodromy_matches_diag_on_drive_ensemble():
+    # The fourth-order default against the 4,096-step midpoint propagator
+    # it replaced, both measured from diag at cutoff 64.
+    for spec in drive_ensemble():
+        w = spec.drive_frequency
+        ref = quasi_energies_diag(spec, cutoff=64).values
+        err = np.max(np.abs(quasi_energies_monodromy(spec).values - ref))
+        midpoint = _eigenphase_energies(
+            _propagator(spec, 0.0, spec.period, 4096), w)
+        assert err <= 1e-9
+        assert err <= np.max(np.abs(midpoint - ref))
 
 
 def test_monodromy_rejects_coarse_grid():
