@@ -131,7 +131,14 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
         ``require_convergence`` is set; with it cleared the best iterate
         reached is returned instead, which is how fixed-depth iterates
         for diagnostics are produced.
+    ValueError
+        Before any sweep, if ``tol`` is negative or not finite, or
+        ``max_iter`` is negative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     ed = ph.fast_eig
     lam = ed.values[:, None]
     start = None if seed is None else _check_block(ph, seed).copy()

@@ -391,9 +391,13 @@ def _comma_list(text: str, what: str) -> list[str]:
 
 
 def _parse_complex(text: str, what: str) -> complex:
-    """A complex number written with ``i`` or ``j``, e.g. ``0.5-0.8i``."""
+    """A complex number written with ``i`` or ``j``, e.g. ``0.5-0.8i``;
+    only a trailing ``i`` is the imaginary unit, so ``inf`` stays ``inf``."""
+    text = text.strip()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
-        return complex(text.strip().replace("i", "j"))
+        return complex(text)
     except ValueError as exc:
         raise ModelFormatError(f"cannot parse {what}: {exc}") from exc
 
@@ -427,6 +431,8 @@ def _sweep(args, names, header, cells) -> int:
         lo_f, hi_f, n = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ModelFormatError(f"bad sweep bounds: {exc}") from exc
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise ModelFormatError("sweep bounds must be finite")
     if n < 1:
         raise ModelFormatError("sweep needs at least one step")
     if name not in names:
@@ -550,8 +556,8 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.samples < 2:
         raise ModelFormatError("need at least two samples")
-    if not args.tmax > 0.0:
-        raise ModelFormatError("tmax must be positive")
+    if not 0.0 < args.tmax < math.inf:
+        raise ModelFormatError("tmax must be positive and finite")
     times = np.linspace(0.0, args.tmax, args.samples)
     tokens = _comma_list(args.generators, "generators")
     if model.kind == "floquet":
@@ -681,8 +687,12 @@ def _parse_overrides(pairs) -> dict:
 
 
 def cmd_export(args) -> int:
-    doc = PRESETS[args.preset](_parse_overrides(args.set))
-    _write_text(args.out, dumps_json(doc) + "\n")
+    text = dumps_json(PRESETS[args.preset](_parse_overrides(args.set))) + "\n"
+    try:  # write only what the loader accepts
+        model_from_dict(json.loads(text))
+    except ValueError as exc:
+        raise ModelFormatError(f"exported model would not load: {exc}") from exc
+    _write_text(args.out, text)
     return 0
 
 

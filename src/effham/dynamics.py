@@ -1,13 +1,13 @@
 """Time evolution, populations, smoothing, and secular-shift diagnostics.
 
 Constant generators are evolved exactly (hermitian ones through a single
-eigendecomposition, general ones through stepped exponentials); periodic
-generators are evolved with the same midpoint-sampled piecewise-constant
-scheme as the one-period propagator, and whole periods between samples
-reuse one cached one-period propagator.  The analysis helpers extract
-component populations, remove fast ripple with a moving average, and
-estimate the secular time shift between two slowly oscillating signals by
-pairing their interior maxima.
+eigendecomposition, general ones through one scaling-and-squaring
+exponential per distinct time gap); periodic generators are evolved with
+``SUBSTEPS_PER_PERIOD`` midpoint-sampled piecewise-constant steps per
+period, and whole periods between samples reuse one cached one-period
+propagator.  The analysis helpers extract component populations, remove
+fast ripple with a moving average, and estimate the secular time shift
+between two slowly oscillating signals by pairing their interior maxima.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import matrixkit
 from .errors import (
+    ConvergenceFailure,
     IndexOutOfRange,
     InsufficientPeaks,
     NonUnitaryStep,
@@ -39,6 +40,8 @@ __all__ = [
 
 # Fewest interior maxima secular_shift pairs in each signal.
 MIN_PEAKS = 3
+# Midpoint substeps per drive period of evolve_periodic.
+SUBSTEPS_PER_PERIOD = 256
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -82,10 +85,6 @@ class TimeSeries:
     labels: tuple[str, ...]
     generator_kind: str
 
-    @property
-    def states(self) -> list[StateVector]:
-        return [StateVector(a, self.labels) for a in self.amplitudes]
-
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.amplitudes, axis=1)
 
@@ -105,8 +104,10 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
 
     Generators hermitian to ``matrixkit.HERM_TOL`` are hermitized,
     diagonalized once and sampled at arbitrary times; general generators
-    are advanced with stepped exponentials, which requires non-decreasing
-    times.  Norm is preserved only in the hermitian case.
+    are advanced with stepped scaling-and-squaring exponentials, one per
+    distinct time gap, which requires non-decreasing times.  Norm is
+    preserved only in the hermitian case; a general generator whose
+    evolution overflows raises :class:`ConvergenceFailure`.
     """
     a = matrixkit._require_square(matrixkit.as_matrix(matrix, "generator"),
                                   "generator")
@@ -125,44 +126,47 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
         if np.any(np.diff(t) < 0.0):
             raise ValueError(
                 "non-hermitian generators require non-decreasing times")
+        import scipy.linalg  # deferred: the only scipy use, and a slow import
         amps = np.empty((t.size, state.dim), dtype=complex)
-        psi = matrixkit.expm(-1j * a * t[0]) @ psi0 if t[0] != 0.0 else psi0.copy()
-        amps[0] = psi
-        gaps = np.diff(t)
         steppers: dict[float, np.ndarray] = {}
-        for i, dt in enumerate(gaps):
-            if dt != 0.0:
-                if dt not in steppers:
-                    steppers[dt] = matrixkit.expm(-1j * a * dt)
-                psi = steppers[dt] @ psi
-            amps[i + 1] = psi
+        # Overflow is reported once, below, instead of as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = (scipy.linalg.expm(-1j * a * t[0]) @ psi0 if t[0] != 0.0
+                   else psi0.copy())
+            amps[0] = psi
+            for i, dt in enumerate(np.diff(t)):
+                if dt != 0.0:
+                    if dt not in steppers:
+                        steppers[dt] = scipy.linalg.expm(-1j * a * dt)
+                    psi = steppers[dt] @ psi
+                amps[i + 1] = psi
+        if not np.all(np.isfinite(amps)):
+            raise ConvergenceFailure(
+                "non-hermitian evolution overflowed to non-finite amplitudes")
         label = "nonhermitian_constant"
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,
                       generator_kind=label)
 
 
-def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
-                    substeps_per_period: int = 256) -> TimeSeries:
+def evolve_periodic(spec: FloquetSpec, state: StateVector,
+                    times) -> TimeSeries:
     """Evolve a state under a periodic generator from ``t = 0``.
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
-    ``substeps_per_period`` substeps per drive period; sample times must be
+    ``SUBSTEPS_PER_PERIOD`` substeps per drive period; sample times must be
     non-negative and non-decreasing.  A gap of ``m`` whole periods between
     period boundaries is advanced by ``U_T^m``, with ``U_T`` built once from
-    exactly ``substeps_per_period`` substeps; any other gap by the product
+    exactly ``SUBSTEPS_PER_PERIOD`` substeps; any other gap by the product
     of its own substeps.  Raises :class:`NonUnitaryStep` if the state norm
     drifts from its initial value by more than 1e-8.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
             f"state has {state.dim} components, drive acts on {spec.dim}")
-    if substeps_per_period < 1:
-        raise ValueError(
-            f"substeps_per_period must be positive, got {substeps_per_period}")
     t = _check_times(times)
     if t[0] < 0.0 or np.any(np.diff(t) < 0.0):
         raise ValueError("sample times must be non-negative and non-decreasing")
-    nominal = spec.period / substeps_per_period
+    nominal = spec.period / SUBSTEPS_PER_PERIOD
     phase = t / spec.period
     on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
     psi = state.amplitudes.copy()
@@ -175,13 +179,13 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector, times, *,
     for i, target in enumerate(t):
         gap = target - current
         if gap > 0.0:
-            # A whole period keeps substeps_per_period despite rounding.
+            # A whole period keeps SUBSTEPS_PER_PERIOD despite rounding.
             count = int(max(1, np.ceil(gap / nominal - 1e-9)))
-            whole, rest = divmod(count, substeps_per_period)
+            whole, rest = divmod(count, SUBSTEPS_PER_PERIOD)
             if rest == 0 and from_boundary and on_boundary[i]:
                 if u_period is None:
                     u_period = _propagator(spec, 0.0, spec.period,
-                                           substeps_per_period)
+                                           SUBSTEPS_PER_PERIOD)
                 for _ in range(whole):
                     psi = u_period @ psi
             else:

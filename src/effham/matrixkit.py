@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels with validated contracts.
 
-The heavy lifting is delegated to LAPACK through numpy and scipy; this module
-adds the input validation, the failure taxonomy, and the convention fixes
-(sorted spectra, enforced unitarity, gap-guarded Sylvester solves) that the
-rest of the package relies on.
+The heavy lifting is delegated to LAPACK through numpy; this module adds
+the input validation, the failure taxonomy, and the convention fixes
+(sorted spectra, gap-guarded Sylvester solves) that the rest of the package
+relies on.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "general_eig",
     "posdef_roots",
     "sylvester_solve",
-    "expm",
     "pair_eigenvalues",
 ]
 
@@ -42,8 +41,6 @@ HERM_TOL = 1e-10
 COND_LIMIT = 1e12
 # Smallest slow/fast eigenvalue separation sylvester_solve divides by.
 GAP_TOL = 1e-9
-# Largest unitarity defect expm accepts for an anti-hermitian input.
-UNITARY_TOL = 1e-11
 
 
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -211,37 +208,6 @@ def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
             f"(required {GAP_TOL:.1e})", gap=gap)
     mixed = fast.vectors.conj().T @ rhs @ slow.vectors
     return fast.vectors @ (mixed / denom) @ slow.vectors.conj().T
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential with spectrally exact (anti)hermitian branches.
-
-    Inputs hermitian or anti-hermitian to ``HERM_TOL`` are exponentiated
-    through an eigendecomposition of their hermitized part, which keeps
-    the result exactly hermitian positive definite or unitary up to
-    rounding; anti-hermitian results must be unitary to ``UNITARY_TOL``.
-    Everything else falls back to the scaling-and-squaring exponential.
-    """
-    a = _require_square(as_matrix(a))
-    n = a.shape[0]
-    if _hermiticity_excess(a, HERM_TOL) is None:
-        ed = hermitian_eig(hermitize(a))
-        return (ed.vectors * np.exp(ed.values)) @ ed.vectors.conj().T
-    if _hermiticity_excess(a, HERM_TOL, a + a.conj().T) is None:
-        # a = i*h with h hermitian, so exp(a) is unitary.
-        ed = hermitian_eig(hermitize(-1j * a))
-        u = (ed.vectors * np.exp(1j * ed.values)) @ ed.vectors.conj().T
-        defect = spectral_norm(u.conj().T @ u - np.eye(n))
-        if defect > UNITARY_TOL:
-            raise ConvergenceFailure(
-                f"exponential of anti-hermitian input lost unitarity "
-                f"({defect:.3e} > {UNITARY_TOL:.1e})")
-        return u
-    import scipy.linalg  # deferred: the only scipy use, and a slow import
-    out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceFailure("matrix exponential overflowed")
-    return out
 
 
 def pair_eigenvalues(candidates: np.ndarray,

@@ -96,11 +96,14 @@ def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenera
                        rotation=_rotation_from_svd(b, u, s, vh), order="exact")
 
 
-def _tan_block(gen_block: np.ndarray) -> np.ndarray:
+def _tan_svd(gen_block: np.ndarray):
+    """``tan`` of the principal angles of ``gen_block``: the matching
+    embedding block together with its thin SVD ``(u, tan(s), vh)``."""
     u, s, vh = np.linalg.svd(gen_block, full_matrices=False)
     if s.size and s[0] >= 0.5 * np.pi:
         raise WidePrincipalAngle("generator has a principal angle >= pi/2")
-    return (u * np.tan(s)) @ vh
+    tan_s = np.tan(s)
+    return (u * tan_s) @ vh, u, tan_s, vh
 
 
 def tanh_block(gen: SWGenerator) -> np.ndarray:
@@ -110,7 +113,7 @@ def tanh_block(gen: SWGenerator) -> np.ndarray:
     this gives an embedding seed that resums the slow-block dependence of
     the linearized equation; it requires every principal angle below pi/2.
     """
-    return _tan_block(gen.block)
+    return _tan_svd(gen.block)[0]
 
 
 def _linearized_block(ph: PartitionedHamiltonian) -> np.ndarray:
@@ -125,10 +128,11 @@ def first_order_generator(ph: PartitionedHamiltonian) -> SWGenerator:
     slow/fast spectra at least ``matrixkit.GAP_TOL`` apart
     (:class:`SpectraOverlap` otherwise).  The
     attached rotation is the closed form for the matching embedding block
-    ``tan`` (principal angles), so it is exactly unitary.
+    ``tan`` (principal angles), so it is exactly unitary; it is assembled
+    from the generator's own SVD, whose singular vectors that block shares.
     """
     gen = _linearized_block(ph)
-    return SWGenerator(block=gen, rotation=rotation_from_block(_tan_block(gen)),
+    return SWGenerator(block=gen, rotation=_rotation_from_svd(*_tan_svd(gen)),
                        order="first_order")
 
 

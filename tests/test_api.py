@@ -21,7 +21,6 @@ KEYWORD_VALUES = [
     ("floquet.quasi_energies_diag", "cutoff", None),
     ("floquet.quasi_energies_effective", "method", "adiabatic"),
     ("floquet.quasi_energies_effective", "cutoff", None),
-    ("dynamics.evolve_periodic", "substeps_per_period", 256),
     ("dynamics.populations", "indices", None),
     ("matrixkit.as_matrix", "name", "matrix"),
     ("matrixkit.require_hermitian", "tol", matrixkit.HERM_TOL),

@@ -66,6 +66,24 @@ def test_iterate_bloch_cap_raises_when_required():
         iterate_bloch(lambda_partition(), max_iter=3)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": float("nan")}, "tol must be finite and non-negative"),
+    ({"tol": float("inf")}, "tol must be finite and non-negative"),
+    ({"tol": -1.0}, "tol must be finite and non-negative"),
+    ({"max_iter": -1}, "max_iter must be non-negative"),
+])
+def test_iterate_bloch_rejects_unmeetable_settings_before_sweeping(
+        monkeypatch, kwargs, message):
+    # A nan or infinite tol used to return the adiabatic block as
+    # "iterative"; a negative one ran every sweep before failing.
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("effham.bloch._eig_rhs", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        iterate_bloch(lambda_partition(), **kwargs)
+
+
 def test_iterate_bloch_seeded_start():
     ph = lambda_partition()
     seed = tanh_block(first_order_generator(ph))

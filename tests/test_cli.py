@@ -124,6 +124,23 @@ def test_real_parameters_reject_imaginary_parts(tmp_path, capsys, kind,
     assert captured.out == "" and f"{key} must be real" in captured.err
 
 
+@pytest.mark.parametrize("preset, override, message", [
+    ("lambda", "rabi_a=nan", "expected a number"),
+    ("lambda", "gap=inf", "expected a number"),
+    ("driven-qubit", "drive_frequency=-1", "drive frequency must be positive"),
+    ("driven-qubit", "drive_frequency=0", "drive frequency must be positive"),
+])
+def test_export_refuses_models_the_loader_rejects(tmp_path, capsys, preset,
+                                                  override, message):
+    argv = ["export", "--preset", preset, "--set", override]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    out = tmp_path / "model.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_export_rejects_unknown_override(tmp_path):
     path = tmp_path / "x.json"
     code = main(["export", "--preset", "lambda", "--set", "bogus=1",
@@ -178,6 +195,32 @@ def test_solve_iterate_matches_full_slow_spectrum(tmp_path):
     report = json.loads(out.read_text())
     assert np.allclose(report["spectrum"], FULL_EIGS[:2], atol=1e-10)
     assert report["bloch_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_solve_rejects_unmeetable_iterate_tolerance(tmp_path, capsys, tol):
+    model = write_lambda(tmp_path)
+    for extra in ([], ["--sweep", "rabi_a:0.1:0.4:4"]):
+        assert main(["solve", model, "--method", "iterate", "--tol", tol,
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be finite and non-negative" in captured.err
+
+
+def test_solve_sw_takes_two_svds(tmp_path, capsys, monkeypatch):
+    # The first-order rotation reuses the SVD of its generator block; the
+    # embedding seed takes the other one.
+    model = write_lambda(tmp_path)
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["solve", model, "--method", "sw"]) == 0
+    assert shapes == [(1, 2), (1, 2)]
 
 
 def test_solve_rejects_floquet_model(tmp_path):
@@ -303,7 +346,11 @@ def test_exit_code_for_nan_matrix_entry(tmp_path, capsys):
 
 
 def test_exit_code_for_nonpositive_drive_frequency(tmp_path, capsys):
-    model = write_qubit(tmp_path, drive_frequency=0)
+    # export refuses this model, so it is edited in after a valid export.
+    model = write_qubit(tmp_path)
+    doc = json.loads(Path(model).read_text())
+    doc["floquet"]["drive_frequency"] = 0
+    Path(model).write_text(json.dumps(doc))
     assert main(["floquet", model]) == 2
     assert "drive frequency must be positive" in capsys.readouterr().err
 
@@ -527,6 +574,54 @@ def test_simulate_partitions_once(tmp_path, monkeypatch):
                  "--generators", "exact,adiabatic,second,sw,iterate3,herm3",
                  "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == 1
+
+
+def test_simulate_iterate_decides_hermiticity_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # One hermiticity check of the 2x2 generator: its deviation and its
+    # norm, then no further check per time gap.
+    model = write_lambda(tmp_path)
+    norm, shapes = np.linalg.norm, []
+
+    def counted(a, *args, **kw):
+        if (args[0] if args else kw.get("ord")) == 2:
+            shapes.append(np.shape(a))
+        return norm(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert main(["simulate", model, "--tmax", "40", "--samples", "201",
+                 "--generators", "iterate3"]) == 0
+    assert shapes.count((2, 2)) == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--tmax", "inf"], "tmax must be positive and finite"),
+    (["simulate", "--tmax", "nan"], "tmax must be positive and finite"),
+    (["solve", "--sweep", "rabi_a:0:inf:3"], "sweep bounds must be finite"),
+    (["solve", "--sweep", "rabi_a:nan:1:3"], "sweep bounds must be finite"),
+    (["simulate", "--tmax", "1", "--psi0", "inf,0,0"], "non-finite"),
+])
+def test_non_finite_arguments_exit_2_without_warnings(tmp_path, capsys,
+                                                      argv, message):
+    argv = [argv[0], write_lambda(tmp_path), *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line.split("#", 1)[0].split()
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["effham"]]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_simulate_rejects_unknown_generator(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from effham.dynamics import (
+    SUBSTEPS_PER_PERIOD,
     StateVector,
     evolve_constant,
     evolve_periodic,
@@ -14,6 +15,7 @@ from effham.dynamics import (
     secular_shift,
 )
 from effham.errors import (
+    ConvergenceFailure,
     IndexOutOfRange,
     InsufficientPeaks,
     ShapeMismatch,
@@ -82,6 +84,17 @@ def test_constant_nonhermitian_requires_sorted_times():
                         np.array([1.0, 0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate, times", [
+    (1000.0, [0.0, 1.0]),                # one step overflows
+    (100.0, np.arange(9.0)),             # growth overflows across steps
+])
+def test_constant_nonhermitian_overflow_raises(rate, times):
+    a = np.diag([1j * rate, 0.0])
+    with pytest.raises(ConvergenceFailure, match="overflowed"):
+        evolve_constant(a, StateVector(np.array([1.0, 0.0])), times)
+
+
 def test_constant_generator_shape_guards():
     with pytest.raises(ShapeMismatch):
         evolve_constant(np.ones((2, 3)), StateVector(np.array([1.0, 0.0])),
@@ -96,8 +109,8 @@ def test_periodic_strobe_matches_monodromy_powers():
                                    1: SM})
     state = StateVector(np.array([1.0, 0.0]))
     strobe = np.arange(5) * spec.period
-    series = evolve_periodic(spec, state, strobe, substeps_per_period=2048)
-    u = _propagator(spec, 0.0, spec.period, 2048)
+    series = evolve_periodic(spec, state, strobe)
+    u = _propagator(spec, 0.0, spec.period, SUBSTEPS_PER_PERIOD)
     psi = state.amplitudes.copy()
     for k in range(5):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-10
@@ -111,18 +124,18 @@ def test_periodic_whole_periods_take_the_nominal_substeps():
                        components={-1: 2.0 * SP, 0: 0.7 * SX, 1: 2.0 * SM})
     state = StateVector(np.array([0.6, 0.8j]))
     strobe = np.arange(17) * spec.period
-    series = evolve_periodic(spec, state, strobe, substeps_per_period=256)
-    u = _propagator(spec, 0.0, spec.period, 256)
+    series = evolve_periodic(spec, state, strobe)
+    u = _propagator(spec, 0.0, spec.period, SUBSTEPS_PER_PERIOD)
     psi = state.amplitudes.copy()
     for k in range(17):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-12
         psi = u @ psi
 
 
-def _substep_loop(spec, psi, times, substeps_per_period=256):
+def _substep_loop(spec, psi, times):
     """Reference: each gap's midpoint exponentials from one batched eigh,
     applied to the state one substep at a time."""
-    nominal = spec.period / substeps_per_period
+    nominal = spec.period / SUBSTEPS_PER_PERIOD
     out = []
     current = 0.0
     for target in times:
@@ -143,8 +156,8 @@ def test_periodic_matches_the_substep_loop():
     # Strobe grid, then a mixed grid: off-period samples, a repeated sample,
     # gaps of three and two whole periods, and a gap from a boundary that
     # takes 256 substeps but ends half a substep short of the next one.
-    mixed = np.array([0.0, 0.37, 1.0, 1.0, 4.0, 5.0 - 0.5 / 256, 5.25, 7.0,
-                      9.0])
+    mixed = np.array([0.0, 0.37, 1.0, 1.0, 4.0,
+                      5.0 - 0.5 / SUBSTEPS_PER_PERIOD, 5.25, 7.0, 9.0])
     for spec in drive_ensemble():
         start = np.zeros(spec.dim, dtype=complex)
         start[spec.dim - 1] = 1.0
@@ -167,9 +180,8 @@ def test_periodic_strobe_decomposes_one_period_once(monkeypatch):
     monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
     start = np.zeros(spec.dim, dtype=complex)
     start[0] = 1.0
-    evolve_periodic(spec, StateVector(start), np.arange(17) * spec.period,
-                    substeps_per_period=256)
-    assert shapes == [(256, spec.dim, spec.dim)]
+    evolve_periodic(spec, StateVector(start), np.arange(17) * spec.period)
+    assert shapes == [(SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)]
 
 
 def test_periodic_with_static_drive_matches_constant():

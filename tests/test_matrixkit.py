@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from effham import matrixkit as mk
@@ -128,27 +127,6 @@ def test_sylvester_shape_guard():
                            mk.hermitian_eig(4.0 * np.eye(3)), np.ones((2, 3)))
 
 
-def test_expm_hermitian_branch():
-    a = np.diag([0.5, -1.0]).astype(complex)
-    assert np.allclose(mk.expm(a), np.diag(np.exp([0.5, -1.0])))
-
-
-def test_expm_antihermitian_is_unitary():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 4, scale=30.0)
-    u = mk.expm(-1j * h)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
-    # agrees with the eigenphase construction
-    vals, vecs = np.linalg.eigh(h)
-    direct = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-    assert np.linalg.norm(u - direct) < 1e-12
-
-
-def test_expm_general_matches_scipy():
-    a = np.array([[0.2, 1.0], [0.0, -0.3]], dtype=complex)
-    assert np.linalg.norm(mk.expm(a) - scipy.linalg.expm(a)) < 1e-13
-
-
 def test_pair_eigenvalues_handles_permutations():
     ref = np.array([0.0, 1.0, 5.0])
     cand = np.array([5.0 + 1e-4, 0.0 - 2e-4, 1.0])
@@ -171,5 +149,3 @@ def test_random_hermitian_roundtrip_property():
         rebuilt = (ed.vectors * ed.values) @ ed.vectors.conj().T
         assert np.linalg.norm(rebuilt - h) < 1e-12 * max(1.0, np.linalg.norm(h))
         assert np.all(np.diff(ed.values) >= 0.0)
-        u = mk.expm(-1j * h)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
