@@ -41,6 +41,9 @@ __all__ = [
 
 # Smallest slow-weight gap at which exact_embedding assigns eigenvectors.
 SLOW_WEIGHT_GAP = 1e-2
+# Highest order perturbative_bloch sums: the series costs O(order^2)
+# products, and on converging problems order 64 is already at rounding.
+MAX_SERIES_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,16 @@ def _check_block(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarra
             f"embedding block has shape {cand.shape}, expected "
             f"({ph.fast_dim}, {ph.slow_dim})")
     return cand
+
+
+def _check_series_order(order: int) -> int:
+    """``order``, or ValueError unless ``1 <= order <= MAX_SERIES_ORDER``."""
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"series order must be <= {MAX_SERIES_ORDER}, got {order}")
+    return order
 
 
 def _eig_rhs(ph: PartitionedHamiltonian, block: np.ndarray) -> np.ndarray:
@@ -180,9 +193,10 @@ def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding
     The terms are built in the fast eigenbasis and converted to bare
     coordinates together, by one product.  Returns the embedding summing
     terms 1..``order`` with the terms kept for scaling diagnostics.
+    ``order`` must lie in ``1..MAX_SERIES_ORDER`` (ValueError otherwise,
+    before any product).
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
+    _check_series_order(order)
     ed = ph.fast_eig
     lam = ed.values[:, None]
     coupling_t = ph.eig_coupling.conj().T

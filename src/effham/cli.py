@@ -21,15 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matrixkit, partition
-from .bloch import (
-    BlochEmbedding,
-    adiabatic_embedding,
-    iterate_bloch,
-    perturbative_bloch,
-)
+from .bloch import adiabatic_embedding, embedding_from_matrix, iterate_bloch
 from .dynamics import StateVector, evolve_constant, evolve_periodic, populations
 from .effective import (
-    adiabatic_hamiltonian,
     hermitian_effective,
     nonhermitian_effective,
     second_order_hamiltonian,
@@ -37,18 +31,13 @@ from .effective import (
 from .errors import ToolkitError
 from .floquet import (
     FloquetSpec,
-    _effective_route,
     _ladder_quasi_energies,
     first_order_floquet_hamiltonian,
     fold_quasienergy,
     quasi_energies_monodromy,
 )
 from .partition import coupling_scales, partition_hamiltonian, spectral_gap
-from .schriefferwolff import (
-    embedding_from_generator,
-    first_order_generator,
-    sw_first_order_hamiltonian,
-)
+from .schriefferwolff import _effective_route, _linearized_block, _tan_svd
 
 __all__ = ["main"]
 
@@ -365,8 +354,11 @@ def model_to_dict(model: Model) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write output: {exc}") from exc
 
 
 def _fmt_cell(x) -> str:
@@ -402,20 +394,27 @@ def _parse_complex(text: str, what: str) -> complex:
         raise ModelFormatError(f"cannot parse {what}: {exc}") from exc
 
 
-def _solve_once(ph, method: str, order: int, tol: float):
-    if method == "adiabatic":
-        return adiabatic_hamiltonian(ph), adiabatic_embedding(ph)
-    if method == "iterate":
-        be = iterate_bloch(ph, tol=tol)
-        return hermitian_effective(ph, be), be
-    if method == "perturb":
-        be = perturbative_bloch(ph, order)
-        return hermitian_effective(ph, be), be
-    if method == "sw":
-        op = sw_first_order_hamiltonian(ph)
-        be = embedding_from_generator(ph, first_order_generator(ph))
-        return op, be
-    raise ModelFormatError(f"unknown solve method {method!r}")
+_PERTURB = re.compile(r"^perturb(\d+)$")
+
+
+def _route_name(method: str, order: int | None = None) -> str:
+    """Effective-route name of a command-line method: ``sw_first`` for
+    ``sw``, ``bloch_order_<k>`` for ``perturb<k>`` or for ``perturb`` with
+    ``order`` k, the method itself otherwise."""
+    match = _PERTURB.match(method)
+    if match or method == "perturb":
+        return f"bloch_order_{int(match[1]) if match else order}"
+    return "sw_first" if method == "sw" else method
+
+
+def _solve_once(ph, args):
+    """Effective operator and embedding of ``solve``'s method."""
+    name = _route_name(args.method, args.order)
+    op, be = _effective_route(name, args.tol)(ph)
+    if be is None:  # a closed form: report the embedding it implies
+        be = (adiabatic_embedding(ph) if name == "adiabatic" else
+              embedding_from_matrix(ph, _tan_svd(_linearized_block(ph))[0]))
+    return op, be
 
 
 def _sweep(args, names, header, cells) -> int:
@@ -464,7 +463,7 @@ def cmd_solve(args) -> int:
               "invariant ball", file=sys.stderr)
     else:
         print(f"invariant-ball radius = {scales.radius:.6g}", file=sys.stderr)
-    op, be = _solve_once(ph, args.method, args.order, args.tol)
+    op, be = _solve_once(ph, args)
     full = matrixkit.hermitian_eig(model.hamiltonian).values
     report = {
         "tool": "effham",
@@ -499,7 +498,7 @@ def _solve_sweep(args, model: Model) -> int:
             **{**model.params, name: _lambda_value(name, value)})
         ph = partition_hamiltonian(h, model.slow_indices)
         scales = coupling_scales(ph)
-        op, be = _solve_once(ph, args.method, args.order, args.tol)
+        op, be = _solve_once(ph, args)
         return [*np.real(op.spectrum()), be.residual, scales.epsilon,
                 scales.epsilon_prime, scales.radius]
 
@@ -520,12 +519,10 @@ def _generator(ph, token: str) -> np.ndarray:
     match = _GEN_PATTERN.match(token)
     if match is None:
         raise ModelFormatError(f"unknown generator {token!r}")
-    if token == "adiabatic":
-        return adiabatic_hamiltonian(ph).matrix
+    if token in ("adiabatic", "sw"):
+        return _effective_route(_route_name(token))(ph)[0].matrix
     if token == "second":
         return second_order_hamiltonian(ph).matrix
-    if token == "sw":
-        return sw_first_order_hamiltonian(ph).matrix
     be = iterate_bloch(ph, tol=0.0, max_iter=int(match[2] or match[3]),
                        require_convergence=False)
     effective = (nonhermitian_effective if token.startswith("iterate")
@@ -597,11 +594,8 @@ def cmd_simulate(args) -> int:
 # floquet
 
 
-_PERTURB = re.compile(r"^perturb(\d+)$")
-# floquet token -> ladder-loop method; None marks the cutoff-free tokens
-_TOKEN_METHODS = {"monodromy": None, "hf1": None, "diag": "diag",
-                  "adiabatic": "adiabatic", "sw": "sw_first",
-                  "iterate": "iterate"}
+_QUASI_PATTERN = re.compile(
+    r"^(monodromy|hf1|diag|adiabatic|sw|iterate|perturb\d+)$")
 
 
 def _cutoff_free_values(token: str, spec: FloquetSpec, steps) -> np.ndarray:
@@ -616,13 +610,12 @@ def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
     """Quasi-energies per token and their largest deviation from the first.
     Every token is checked before any work; the cutoff-free rows come
     first, then one ladder loop serves every ladder token."""
-    methods = {}
+    methods = {}  # token -> ladder-loop method, None if cutoff-free
     for token in tokens:
-        match = _PERTURB.match(token)
-        if match is None and token not in _TOKEN_METHODS:
+        if _QUASI_PATTERN.match(token) is None:
             raise ModelFormatError(f"unknown quasi-energy method {token!r}")
-        methods[token] = (f"bloch_order_{int(match[1])}" if match
-                          else _TOKEN_METHODS[token])
+        methods[token] = (None if token in ("monodromy", "hf1")
+                          else _route_name(token))
         if methods[token] not in (None, "diag"):
             _effective_route(methods[token])  # checks the order of perturb<k>
     free = {token: _cutoff_free_values(token, spec, steps)

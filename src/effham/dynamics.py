@@ -157,8 +157,10 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     non-negative and non-decreasing.  A gap of ``m`` whole periods between
     period boundaries is advanced by ``U_T^m``, with ``U_T`` built once from
     exactly ``SUBSTEPS_PER_PERIOD`` substeps; any other gap by the product
-    of its own substeps.  Raises :class:`NonUnitaryStep` if the state norm
-    drifts from its initial value by more than 1e-8.
+    of its own substeps, in slices of at most ``SUBSTEPS_PER_PERIOD`` of
+    them so memory stays bounded however long the gap.  Raises
+    :class:`NonUnitaryStep` if the state norm drifts from its initial value
+    by more than 1e-8.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
@@ -189,7 +191,12 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
                 for _ in range(whole):
                     psi = u_period @ psi
             else:
-                psi = _propagator(spec, current, target, count) @ psi
+                h = gap / count
+                for first in range(0, count, SUBSTEPS_PER_PERIOD):
+                    n = min(SUBSTEPS_PER_PERIOD, count - first)
+                    stop = (target if first + n == count
+                            else current + (first + n) * h)
+                    psi = _propagator(spec, current + first * h, stop, n) @ psi
             current, from_boundary = target, on_boundary[i]
         amps[i] = psi
         drift = abs(float(np.linalg.norm(psi)) / norm0 - 1.0)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixkit
-from .bloch import iterate_bloch, perturbative_bloch
-from .effective import (adiabatic_hamiltonian, hermitian_effective)
+# perfbench's selftest checks that its tracer patches this binding too.
+from .bloch import iterate_bloch  # noqa: F401
 from .errors import (
     ConvergenceFailure,
     CutoffTooSmall,
@@ -28,7 +28,7 @@ from .errors import (
     SingularFastBlock,
 )
 from .partition import PartitionedHamiltonian, partition_hamiltonian
-from .schriefferwolff import sw_first_order_hamiltonian
+from .schriefferwolff import _effective_route
 
 __all__ = [
     "FloquetSpec",
@@ -343,25 +343,6 @@ def _diag_energies(tfo: TruncatedFloquetOperator) -> np.ndarray:
         ed.vectors[rows, :], tfo.dim, ZERO_HARMONIC_WEIGHT_GAP, "zero-harmonic")]
 
 
-def _effective_route(method: str):
-    """Function from a partition to the effective operator ``method``
-    names; raises ValueError for an unknown method, before any ladder."""
-    if method == "adiabatic":
-        return adiabatic_hamiltonian
-    if method == "sw_first":
-        return sw_first_order_hamiltonian
-    if method == "iterate":
-        return lambda ph: hermitian_effective(ph, iterate_bloch(ph))
-    if method.startswith("bloch_order_"):
-        order = int(method.removeprefix("bloch_order_"))
-        if order < 1:
-            raise ValueError(f"series order must be >= 1, got {order}")
-        return lambda ph: hermitian_effective(ph, perturbative_bloch(ph, order))
-    raise ValueError(
-        f"unknown effective method {method!r}; expected adiabatic, "
-        f"sw_first, iterate, or bloch_order_<k>")
-
-
 def _ladder_quasi_energies(spec: FloquetSpec, methods,
                            cutoff: int | None = None) -> dict:
     """``{method: (values, cutoff)}`` for ``diag`` and effective method
@@ -384,7 +365,7 @@ def _ladder_quasi_energies(spec: FloquetSpec, methods,
                     ph = floquet_partition(tfo)
                     if "diag" not in todo[i:]:
                         tfo = None  # no diag left to read the dense ladder
-                energies = matrixkit.hermitian_eig(route(ph).matrix).values
+                energies = matrixkit.hermitian_eig(route(ph)[0].matrix).values
             values = np.sort(fold_quasienergy(energies, spec.drive_frequency))
             if cutoff is not None or (method in prev and float(
                     np.max(np.abs(values - prev[method]))) <= CUTOFF_TARGET):
@@ -420,9 +401,10 @@ def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
 
     ``method`` selects the effective operator: ``adiabatic``, ``sw_first``,
     ``iterate`` (fixed point to :func:`iterate_bloch`'s default ``tol``),
-    or ``bloch_order_<k>`` (series through order ``k >= 1``); any other
-    name raises ValueError before a ladder is built.  The ladder loop of
-    :func:`quasi_energies_diag` runs for this one method.
+    or ``bloch_order_<k>`` (series through order ``k``, from 1 to
+    ``bloch.MAX_SERIES_ORDER``); any other name raises ValueError before a
+    ladder is built.  The ladder loop of :func:`quasi_energies_diag` runs
+    for this one method.
     """
     _effective_route(method)  # also rejects "diag", which only the loop takes
     values, used = _ladder_quasi_energies(spec, [method], cutoff)[method]

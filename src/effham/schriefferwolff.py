@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit
-from .bloch import BlochEmbedding, embedding_from_matrix
-from .effective import EffectiveOperator
+from .bloch import (BlochEmbedding, _check_series_order, embedding_from_matrix,
+                    iterate_bloch, perturbative_bloch)
+from .effective import (EffectiveOperator, adiabatic_hamiltonian,
+                        hermitian_effective)
 from .errors import ShapeMismatch, WidePrincipalAngle
 from .partition import PartitionedHamiltonian
 
@@ -178,3 +180,28 @@ def block_offdiagonal_norm(matrix: np.ndarray, gen: SWGenerator,
             f"slow dimension {slow_dim} incompatible with operator size {n}")
     rotated = gen.rotation.conj().T @ m @ gen.rotation
     return matrixkit.spectral_norm(rotated[slow_dim:, :slow_dim])
+
+
+def _effective_route(method: str, tol: float = 1e-12):
+    """``ph -> (operator, embedding)`` for the effective operator ``method``
+    names: closed-form ``adiabatic`` or ``sw_first`` (embedding ``None``),
+    or the hermitized ``iterate`` (to ``tol``) or ``bloch_order_<k>``.
+    Raises ValueError for an unknown method or order, before any work."""
+    if method == "adiabatic":
+        return lambda ph: (adiabatic_hamiltonian(ph), None)
+    if method == "sw_first":
+        return lambda ph: (sw_first_order_hamiltonian(ph), None)
+    if method == "iterate":
+        solve = lambda ph: iterate_bloch(ph, tol=tol)
+    elif method.startswith("bloch_order_"):
+        order = _check_series_order(int(method.removeprefix("bloch_order_")))
+        solve = lambda ph: perturbative_bloch(ph, order)
+    else:
+        raise ValueError(
+            f"unknown effective method {method!r}; expected adiabatic, "
+            f"sw_first, iterate, or bloch_order_<k>")
+
+    def route(ph: PartitionedHamiltonian):
+        be = solve(ph)
+        return hermitian_effective(ph, be), be
+    return route

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from effham.bloch import (
+    MAX_SERIES_ORDER,
     adiabatic_embedding,
     bloch_map,
     bloch_residual,
@@ -255,3 +257,14 @@ def test_sweeps_take_no_product_with_a_fast_sized_operand():
         assert be.order_or_iterations == max_iter
         counts.append(_CountingArray.products)
     assert counts[0] == counts[1] > 0
+
+
+def test_series_order_is_checked_before_any_product():
+    ph = lambda_partition()
+    top = perturbative_bloch(ph, MAX_SERIES_ORDER)
+    assert len(top.terms) == MAX_SERIES_ORDER
+    # A partition with no attributes proves the check comes first.
+    for order, message in ((0, ">= 1, got 0"), (MAX_SERIES_ORDER + 1,
+                                               "<= 64, got 65")):
+        with pytest.raises(ValueError, match=f"series order must be {message}"):
+            perturbative_bloch(SimpleNamespace(), order)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import effham
 from effham import __version__, partition_hamiltonian
+from effham.bloch import adiabatic_embedding, iterate_bloch, perturbative_bloch
 from effham.cli import (
     _fmt_cell,
     dumps_json,
@@ -22,6 +23,10 @@ from effham.cli import (
     model_to_dict,
     parse_complex_entry,
 )
+from effham.effective import adiabatic_hamiltonian, hermitian_effective
+from effham.schriefferwolff import (_effective_route, embedding_from_generator,
+                                    first_order_generator,
+                                    sw_first_order_hamiltonian)
 
 FULL_EIGS = (-0.05790167391504361, -0.0012484394101993715, 1.0591501133252428)
 
@@ -88,14 +93,14 @@ def test_parse_complex_entry_forms():
 
 def test_export_round_trip_is_byte_identical(tmp_path):
     path = write_lambda(tmp_path)
-    text = open(path).read()
+    text = Path(path).read_text()
     rebuilt = dumps_json(model_to_dict(load_model(path))) + "\n"
     assert rebuilt == text
 
 
 def test_export_qubit_round_trip(tmp_path):
     path = write_qubit(tmp_path, detuning=0.5)
-    text = open(path).read()
+    text = Path(path).read_text()
     rebuilt = dumps_json(model_to_dict(load_model(path))) + "\n"
     assert rebuilt == text
 
@@ -208,9 +213,9 @@ def test_solve_rejects_unmeetable_iterate_tolerance(tmp_path, capsys, tol):
         assert "tol must be finite and non-negative" in captured.err
 
 
-def test_solve_sw_takes_two_svds(tmp_path, capsys, monkeypatch):
-    # The first-order rotation reuses the SVD of its generator block; the
-    # embedding seed takes the other one.
+def test_solve_sw_takes_one_svd(tmp_path, capsys, monkeypatch):
+    # The residual is that of the tan block of the first-order generator,
+    # from one SVD; no rotation is built.
     model = write_lambda(tmp_path)
     svd, shapes = np.linalg.svd, []
 
@@ -220,7 +225,74 @@ def test_solve_sw_takes_two_svds(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["solve", model, "--method", "sw"]) == 0
-    assert shapes == [(1, 2), (1, 2)]
+    assert shapes == [(1, 2)]
+
+
+def _lambda_solutions(ph):
+    """``(operator, embedding)`` per route name, each spelled out."""
+    iterate, series1, series4 = (iterate_bloch(ph), perturbative_bloch(ph, 1),
+                                 perturbative_bloch(ph, 4))
+    return {
+        "adiabatic": (adiabatic_hamiltonian(ph), adiabatic_embedding(ph)),
+        "sw_first": (sw_first_order_hamiltonian(ph),
+                     embedding_from_generator(ph, first_order_generator(ph))),
+        "iterate": (hermitian_effective(ph, iterate), iterate),
+        "bloch_order_1": (hermitian_effective(ph, series1), series1),
+        "bloch_order_4": (hermitian_effective(ph, series4), series4),
+    }
+
+
+@pytest.mark.parametrize("argv, name", [
+    ([], "adiabatic"),
+    (["--method", "sw"], "sw_first"),
+    (["--method", "iterate"], "iterate"),
+    (["--method", "perturb", "--order", "1"], "bloch_order_1"),
+    (["--method", "perturb"], "bloch_order_4"),
+])
+def test_solve_reports_the_route_table(tmp_path, capsys, argv, name):
+    model = write_lambda(tmp_path)
+    assert main(["solve", model, *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    ph = partition_hamiltonian(load_model(model).hamiltonian, (0, 1))
+    op, be = _lambda_solutions(ph)[name]
+    table_op, table_be = _effective_route(name)(ph)
+    assert np.array_equal(table_op.matrix, op.matrix)
+    assert (table_be is None) == (name in ("adiabatic", "sw_first"))
+    if table_be is not None:
+        assert table_be.residual == be.residual
+    matrix = np.array(report["effective_hamiltonian"], dtype=float)
+    assert np.array_equal(matrix[..., 0] + 1j * matrix[..., 1], op.matrix)
+    assert report["spectrum"] == op.spectrum().tolist()
+    assert report["bloch_residual"] == be.residual
+
+
+def test_solve_rejects_series_order_above_the_cap(tmp_path, capsys):
+    model = write_lambda(tmp_path)
+    for extra in ([], ["--sweep", "rabi_a:0.1:0.4:4"]):
+        assert main(["solve", model, "--method", "perturb", "--order", "65",
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: series order must be <= 64, got 65" in captured.err
+
+
+def test_multi_line_report_parses_back_to_the_library_floats(tmp_path,
+                                                             capsys):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = 0.1 * (a + a.conj().T) + np.diag([0, 0, 0, 3.0, 3.5])
+    path = tmp_path / "three_slow.json"
+    path.write_text(json.dumps({"matrix": {
+        "hamiltonian": [[[z.real, z.imag] for z in row] for row in h],
+        "slow_indices": [0, 1, 2]}}))
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"effective_hamiltonian": [\n' in out
+    report = json.loads(out)
+    op = adiabatic_hamiltonian(partition_hamiltonian(h, (0, 1, 2)))
+    matrix = np.array(report["effective_hamiltonian"], dtype=float)
+    assert np.array_equal(matrix[..., 0] + 1j * matrix[..., 1], op.matrix)
+    assert report["spectrum"] == op.spectrum().tolist()
 
 
 def test_solve_rejects_floquet_model(tmp_path):
@@ -462,16 +534,17 @@ def test_floquet_checks_tokens_then_runs_cutoff_free_rows_first(
         assert cutoffs == [4, 8]
 
 
-@pytest.mark.parametrize("argv", [
-    ["--methods", "perturb0,monodromy", "--steps", "10"],
-    ["--methods", "perturb0,monodromy"],
-])
+@pytest.mark.parametrize("argv, message", [
+    (["--methods", "perturb0,monodromy", "--steps", "10"], ">= 1, got 0"),
+    (["--methods", "perturb0,monodromy"], ">= 1, got 0"),
+    (["--methods", "perturb65,monodromy"], "<= 64, got 65"),
+], ids=["argv0", "argv1", "argv2"])
 def test_floquet_checks_series_order_before_any_work(
-        tmp_path, capsys, monkeypatch, argv):
+        tmp_path, capsys, monkeypatch, argv, message):
     model = write_qubit(tmp_path)
     cutoffs, shapes = _count_ladders(monkeypatch)
     assert main(["floquet", model, *argv]) == 2
-    assert "series order must be >= 1, got 0" in capsys.readouterr().err
+    assert f"series order must be {message}" in capsys.readouterr().err
     assert cutoffs == [] and shapes == []
 
 
@@ -609,6 +682,100 @@ def test_non_finite_arguments_exit_2_without_warnings(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("write, argv", [
+    (write_lambda, ["solve"]),
+    (write_lambda, ["solve", "--method", "iterate", "--sweep",
+                    "rabi_a:0.1:0.4:3"]),
+    (write_lambda, ["simulate", "--tmax", "1", "--samples", "3",
+                    "--generators", "exact,sw"]),
+    (write_qubit, ["floquet", "--methods", "hf1"]),
+    (None, ["export", "--preset", "lambda"]),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, write, argv):
+    if write is not None:
+        argv = [argv[0], write(tmp_path), *argv[1:]]
+    capsys.readouterr()
+    target = tmp_path / "missing" / "dir" / "out"
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: cannot write output: ")
+    assert not target.parent.exists()
+
+
+MATRIX_1 = [[1.0]]
+FLOQUET = {"dim": 1, "drive_frequency": 10.0, "components": {"0": [[0.5]]}}
+
+
+@pytest.mark.parametrize("command, model, argv, message", [
+    ("solve", {"matrix": {"hamiltonian": 5, "slow_indices": [0]}}, [],
+     "hamiltonian must be a non-empty list of rows"),
+    ("solve", {"matrix": {"hamiltonian": [], "slow_indices": [0]}}, [],
+     "hamiltonian must be a non-empty list of rows"),
+    ("solve", {"matrix": {"hamiltonian": [1.0], "slow_indices": [0]}}, [],
+     "hamiltonian rows must be lists"),
+    ("solve", {"matrix": {"hamiltonian": [[1, 0], [0]], "slow_indices": [0]}},
+     [], "hamiltonian rows have inconsistent lengths"),
+    ("solve", {"matrix": {"hamiltonian": MATRIX_1, "slow_indices": [0],
+                          "labels": []}}, [],
+     "matrix model needs exactly the keys hamiltonian and slow_indices"),
+    ("solve", {"lambda_system": {"detuning": 0, "gap": 1, "rabi_a": 0.4,
+                                 "rabi_b": 0.3, "phase": 0}}, [],
+     "lambda_system needs exactly the keys "
+     "['detuning', 'gap', 'rabi_a', 'rabi_b']"),
+    ("solve", {"matrix": {"hamiltonian": MATRIX_1, "slow_indices": []}}, [],
+     "slow_indices must be a non-empty integer list"),
+    ("solve", {"matrix": {"hamiltonian": MATRIX_1, "slow_indices": [True]}},
+     [], "slow_indices must be a non-empty integer list"),
+    ("solve", {"matrix": {"hamiltonian": MATRIX_1, "slow_indices": "0"}}, [],
+     "slow_indices must be a non-empty integer list"),
+    ("floquet", {"floquet": {"dim": 1, "drive_frequency": 10.0}}, [],
+     "floquet model needs exactly the keys "
+     "['components', 'dim', 'drive_frequency']"),
+    ("floquet", {"floquet": {**FLOQUET, "dim": True}}, [],
+     "floquet dim must be a positive integer"),
+    ("floquet", {"floquet": {**FLOQUET, "dim": 0}}, [],
+     "floquet dim must be a positive integer"),
+    ("floquet", {"floquet": {**FLOQUET, "components": {}}}, [],
+     "floquet components must be a non-empty object keyed by harmonic"),
+    ("floquet", {"floquet": {**FLOQUET, "components": {"x": [[0.5]]}}}, [],
+     "harmonic key 'x' is not an integer"),
+    ("solve", [], [], "model file must hold a JSON object"),
+    ("solve", {"matrix": {"hamiltonian": MATRIX_1, "slow_indices": [0]},
+               "floquet": FLOQUET}, [],
+     "model must contain exactly one of matrix, lambda_system, floquet; "
+     "found ['matrix', 'floquet']"),
+    ("solve", None, ["--sweep", "rabi_a:a:1:3"],
+     "bad sweep bounds: could not convert string to float: 'a'"),
+    ("solve", None, ["--sweep", "rabi_a:0:1:0"],
+     "sweep needs at least one step"),
+    ("simulate", None, ["--tmax", "1", "--samples", "1"],
+     "need at least two samples"),
+    ("simulate", None, ["--tmax", "1", "--generators", ","],
+     "no generators requested"),
+    ("export", None, ["--preset", "lambda", "--set", "gap"],
+     "override 'gap' must look like key=value"),
+    ("floquet", {"floquet": FLOQUET}, ["--steps", "0"],
+     "steps must be positive, got 0"),
+])
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, command,
+                                                  model, argv, message):
+    if command == "export":
+        path = []
+    elif model is None:
+        path = [write_lambda(tmp_path)]
+    else:
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(model))
+        path = [str(file)]
+    capsys.readouterr()
+    assert main([command, *path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):

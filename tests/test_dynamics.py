@@ -168,6 +168,29 @@ def test_periodic_matches_the_substep_loop():
             assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
 
 
+def test_periodic_long_gaps_take_bounded_substep_stacks(monkeypatch):
+    # Gaps of many periods that start or end off the period grid are
+    # advanced in slices; no eigh sees more than one period's substeps.
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    grid = np.array([0.0, 3.3, 10.71, 11.0, 40.05, 40.1])
+    for spec in list(drive_ensemble())[::2]:
+        start = np.zeros(spec.dim, dtype=complex)
+        start[0] = 1.0
+        t = grid * spec.period
+        ref = _substep_loop(spec, start, t)
+        shapes.clear()
+        monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
+        series = evolve_periodic(spec, StateVector(start), t)
+        monkeypatch.undo()
+        assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
+        assert max(shapes) == (SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)
+
+
 def test_periodic_strobe_decomposes_one_period_once(monkeypatch):
     spec = list(drive_ensemble())[2]
     eigh = np.linalg.eigh

@@ -167,3 +167,18 @@ def test_gram_roots_come_from_one_eigendecomposition(monkeypatch):
             inv_root @ matrixkit.hermitize(core) @ inv_root)
         assert rel_err(op.matrix, matrix) < 1e-14
         assert rel_err(op.norm_factor, root) < 1e-14
+
+
+def test_nonhermitian_and_hermitized_spectra_agree_at_the_fixed_point():
+    # The raw generator and its hermitization are similar matrices once the
+    # embedding solves the block equation: one spectrum, real to rounding.
+    worst_rel = worst_imag = 0.0
+    for ph in [*fast_block_ensemble(), lambda_partition()]:
+        be = iterate_bloch(ph)
+        raw = nonhermitian_effective(ph, be).spectrum()
+        herm = hermitian_effective(ph, be).spectrum()
+        scale = np.max(np.abs(herm))
+        worst_rel = max(worst_rel, np.max(np.abs(raw.real - herm)) / scale)
+        worst_imag = max(worst_imag, np.max(np.abs(raw.imag)))
+    assert worst_rel <= 1e-10
+    assert worst_imag <= 1e-10

@@ -335,7 +335,7 @@ def test_effective_method_is_validated_before_the_ladder(monkeypatch):
         raise AssertionError("ladder built for an invalid method")
 
     monkeypatch.setattr(effham.floquet, "build_floquet", no_ladder)
-    for method in ("magnus_7", "bloch_order_0"):
+    for method in ("magnus_7", "bloch_order_0", "bloch_order_65"):
         with pytest.raises(ValueError):
             quasi_energies_effective(resonant_spec(), method)
 
@@ -349,7 +349,8 @@ def test_auto_cutoff_gives_up_at_the_cap(monkeypatch):
     def never_settles(method):
         def route(ph):
             seen.append(ph.fast_dim // 2)
-            return SimpleNamespace(matrix=np.array([[1.0 / np.log(ph.fast_dim)]]))
+            return (SimpleNamespace(
+                matrix=np.array([[1.0 / np.log(ph.fast_dim)]])), None)
         return route
 
     monkeypatch.setattr(effham.floquet, "_effective_route", never_settles)
