@@ -125,9 +125,9 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
                   require_convergence: bool = True) -> BlochEmbedding:
     """Fixed-point iteration for the embedding block.
 
-    Starts from the adiabatic embedding (or ``seed``) and applies
-    :func:`bloch_map` until the residual is at or below ``tol``, an absolute
-    threshold, capped at ``max_iter`` sweeps.
+    Starts from the adiabatic embedding (or ``seed``) and applies the map
+    of :func:`bloch_map`, in the fast eigenbasis, until the residual is at
+    or below ``tol``, an absolute threshold, capped at ``max_iter`` sweeps.
 
     Sweeps run in the fast eigenbasis (module docstring); one right-hand
     side per sweep gives the next iterate and the defect of the current

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, matrixkit, partition
-from .bloch import adiabatic_embedding, embedding_from_matrix, iterate_bloch
+from .bloch import adiabatic_embedding, iterate_bloch
 from .dynamics import StateVector, evolve_constant, evolve_periodic, populations
 from .effective import (
     hermitian_effective,
@@ -37,7 +37,7 @@ from .floquet import (
     quasi_energies_monodromy,
 )
 from .partition import coupling_scales, partition_hamiltonian, spectral_gap
-from .schriefferwolff import _effective_route, _linearized_block, _tan_svd
+from .schriefferwolff import _effective_route, embedding_from_generator
 
 __all__ = ["main"]
 
@@ -329,10 +329,11 @@ def load_model(path: str) -> Model:
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
-        data = json.loads(text)
+        return model_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+    except (OverflowError, RecursionError) as exc:  # huge integer, deep nesting
+        raise ModelFormatError(f"model file exceeds a limit: {exc}") from None
 
 
 def model_to_dict(model: Model) -> dict:
@@ -413,7 +414,7 @@ def _solve_once(ph, args):
     op, be = _effective_route(name, args.tol)(ph)
     if be is None:  # a closed form: report the embedding it implies
         be = (adiabatic_embedding(ph) if name == "adiabatic" else
-              embedding_from_matrix(ph, _tan_svd(_linearized_block(ph))[0]))
+              embedding_from_generator(ph, ph.first_order_block))
     return op, be
 
 
@@ -759,7 +760,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ModelFormatError and rejected input values
+    except (ValueError, MemoryError) as exc:  # bad input, unallocatable size
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except ToolkitError as exc:

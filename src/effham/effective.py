@@ -25,7 +25,6 @@ __all__ = [
     "hermitian_effective",
     "second_order_hamiltonian",
     "reconstruct_full_eigenvector",
-    "pair_spectra",
 ]
 
 
@@ -46,9 +45,8 @@ class EffectiveOperator:
 
 
 def _block(embedding: BlochEmbedding | np.ndarray) -> np.ndarray:
-    if isinstance(embedding, BlochEmbedding):
-        return embedding.matrix
-    return np.asarray(embedding, dtype=complex)
+    return np.asarray(embedding.matrix if isinstance(embedding, BlochEmbedding)
+                      else embedding, dtype=complex)
 
 
 def _source(embedding: BlochEmbedding | np.ndarray, prefix: str) -> str:
@@ -143,9 +141,3 @@ def reconstruct_full_eigenvector(ph: PartitionedHamiltonian,
     if norm < 1e-150:
         raise ZeroVector("slow vector has zero norm; nothing to lift")
     return full / norm
-
-
-def pair_spectra(candidates: np.ndarray, reference: np.ndarray) -> float:
-    """Largest distance after greedily pairing two eigenvalue lists."""
-    worst, _ = matrixkit.pair_eigenvalues(candidates, reference)
-    return worst

@@ -365,7 +365,7 @@ def _ladder_quasi_energies(spec: FloquetSpec, methods,
                     ph = floquet_partition(tfo)
                     if "diag" not in todo[i:]:
                         tfo = None  # no diag left to read the dense ladder
-                energies = matrixkit.hermitian_eig(route(ph)[0].matrix).values
+                energies = route(ph)[0].spectrum()
             values = np.sort(fold_quasienergy(energies, spec.drive_frequency))
             if cutoff is not None or (method in prev and float(
                     np.max(np.abs(values - prev[method]))) <= CUTOFF_TARGET):

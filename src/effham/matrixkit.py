@@ -25,7 +25,6 @@ __all__ = [
     "EigenDecomposition",
     "as_matrix",
     "spectral_norm",
-    "hermiticity_deviation",
     "hermitize",
     "require_hermitian",
     "hermitian_eig",
@@ -67,12 +66,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermiticity_deviation(a: np.ndarray) -> float:
-    """Spectral norm of the anti-hermitian part residual ``a - a^dagger``."""
-    a = np.asarray(a, dtype=complex)
-    return spectral_norm(a - a.conj().T)
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part ``(a + a^dagger) / 2``."""
     return 0.5 * (a + a.conj().T)
@@ -83,8 +76,10 @@ def _hermiticity_excess(a: np.ndarray, tol: float,
     """``(||residual||, max(1, ||a||))`` if the first exceeds ``tol`` times
     the second, else None.  ``residual`` defaults to ``a - a^dagger``; an
     exact zero costs no SVD, and ``||a||`` is taken only past ``tol``."""
-    dev = (hermiticity_deviation(a) if residual is None
-           else spectral_norm(residual))
+    if residual is None:
+        a = np.asarray(a, dtype=complex)
+        residual = a - a.conj().T
+    dev = spectral_norm(residual)
     if dev <= tol:
         return None
     scale = max(1.0, spectral_norm(a))

@@ -6,7 +6,9 @@ work in the partitioned ordering (slow components first); the original index
 placement is kept so the full operator can be rebuilt exactly.
 Every use of the fast block (gate, inverse norm, spectrum, solves) reads
 one cached eigendecomposition, :attr:`PartitionedHamiltonian.fast_eig`;
-every use of the slow spectrum reads :attr:`PartitionedHamiltonian.slow_eig`.
+every use of the slow spectrum reads :attr:`PartitionedHamiltonian.slow_eig`,
+and every use of the first-order (linearized) decoupling block reads one
+cached Sylvester solve, :attr:`PartitionedHamiltonian.first_order_block`.
 """
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ class PartitionedHamiltonian:
     ``coupling`` the q x p block mapping slow components to fast ones.
     Index tuples record where each sector lives in the original matrix.
     The fast eigendecomposition ``V diag(lam) V^dagger`` (:attr:`fast_eig`),
-    ``V^dagger coupling`` (:attr:`eig_coupling`) and the slow
-    eigendecomposition (:attr:`slow_eig`) are cached on first use.
+    ``V^dagger coupling`` (:attr:`eig_coupling`), the slow
+    eigendecomposition (:attr:`slow_eig`) and :attr:`first_order_block` are
+    cached on first use.
     """
 
     slow_block: np.ndarray
@@ -94,6 +97,14 @@ class PartitionedHamiltonian:
         """Coupling in the fast eigenbasis, ``V^dagger @ coupling``, computed
         once; ``fast_block^-1 @ coupling`` is ``V (eig_coupling / lam)``."""
         return self.fast_eig.vectors.conj().T @ self.coupling
+
+    @cached_property
+    def first_order_block(self) -> np.ndarray:
+        """``G`` solving ``G @ slow_block - fast_block @ G = coupling``
+        (the linearized decoupling condition), computed once; the spectra
+        must be ``matrixkit.GAP_TOL`` apart (:class:`SpectraOverlap`)."""
+        return matrixkit.sylvester_solve(self.slow_eig, self.fast_eig,
+                                         self.coupling)
 
     @property
     def block_matrix(self) -> np.ndarray:

@@ -4,9 +4,10 @@ A unitary rotation built from the embedding block brings the partitioned
 operator to block-diagonal form.  The generator is the anti-hermitian
 matrix with off-diagonal block pair ``(-G^dagger, G)``; ``G`` relates to
 the embedding block ``B`` through ``G = U arctan(S) V^dagger`` where
-``B = U S V^dagger`` is the singular value decomposition.  The rotation is
-always assembled in closed form from ``B``, never by exponentiating the
-generator:
+``B = U S V^dagger`` is the singular value decomposition, and back through
+the tan of its principal angles (:func:`embedding_from_generator`).  The
+rotation is always assembled in closed form from ``B``, never by
+exponentiating the generator:
 
     R = [[1, -B^dagger], [B, 1]] @ diag((1 + B^dagger B)^(-1/2),
                                         (1 + B B^dagger)^(-1/2)).
@@ -24,7 +25,7 @@ import numpy as np
 from . import matrixkit
 from .bloch import (BlochEmbedding, _check_series_order, embedding_from_matrix,
                     iterate_bloch, perturbative_bloch)
-from .effective import (EffectiveOperator, adiabatic_hamiltonian,
+from .effective import (EffectiveOperator, _block, adiabatic_hamiltonian,
                         hermitian_effective)
 from .errors import ShapeMismatch, WidePrincipalAngle
 from .partition import PartitionedHamiltonian
@@ -34,7 +35,6 @@ __all__ = [
     "rotation_from_block",
     "generator_from_embedding",
     "first_order_generator",
-    "tanh_block",
     "embedding_from_generator",
     "sw_first_order_hamiltonian",
     "block_offdiagonal_norm",
@@ -91,8 +91,7 @@ def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenera
     Applies ``arctan`` to the singular values of the embedding block; the
     rotation itself is assembled in closed form from the same thin SVD.
     """
-    b = np.asarray(embedding.matrix if isinstance(embedding, BlochEmbedding)
-                   else embedding, dtype=complex)
+    b = _block(embedding)
     u, s, vh = np.linalg.svd(b, full_matrices=False)
     return SWGenerator(block=(u * np.arctan(s)) @ vh,
                        rotation=_rotation_from_svd(b, u, s, vh), order="exact")
@@ -108,20 +107,6 @@ def _tan_svd(gen_block: np.ndarray):
     return (u * tan_s) @ vh, u, tan_s, vh
 
 
-def tanh_block(gen: SWGenerator) -> np.ndarray:
-    """Embedding block reproducing ``gen``: ``tan`` of its singular values.
-
-    Inverts :func:`generator_from_embedding`.  For a first-order generator
-    this gives an embedding seed that resums the slow-block dependence of
-    the linearized equation; it requires every principal angle below pi/2.
-    """
-    return _tan_svd(gen.block)[0]
-
-
-def _linearized_block(ph: PartitionedHamiltonian) -> np.ndarray:
-    return matrixkit.sylvester_solve(ph.slow_eig, ph.fast_eig, ph.coupling)
-
-
 def first_order_generator(ph: PartitionedHamiltonian) -> SWGenerator:
     """Generator from the linearized decoupling condition.
 
@@ -133,25 +118,33 @@ def first_order_generator(ph: PartitionedHamiltonian) -> SWGenerator:
     ``tan`` (principal angles), so it is exactly unitary; it is assembled
     from the generator's own SVD, whose singular vectors that block shares.
     """
-    gen = _linearized_block(ph)
+    gen = ph.first_order_block
     return SWGenerator(block=gen, rotation=_rotation_from_svd(*_tan_svd(gen)),
                        order="first_order")
 
 
 def embedding_from_generator(ph: PartitionedHamiltonian,
-                             gen: SWGenerator) -> BlochEmbedding:
-    """Embedding seeded by a generator through :func:`tanh_block`."""
-    return embedding_from_matrix(ph, tanh_block(gen))
+                             gen: SWGenerator | np.ndarray) -> BlochEmbedding:
+    """Embedding whose block is the ``tan`` of the principal angles of a
+    generator or its bare block ``G``; inverts :func:`generator_from_embedding`.
+
+    A first-order generator gives a seed that resums the slow-block
+    dependence of the linearized equation.  Every principal angle must be
+    below pi/2 (:class:`WidePrincipalAngle` otherwise).
+    """
+    block = gen.block if isinstance(gen, SWGenerator) else gen
+    return embedding_from_matrix(ph, _tan_svd(block)[0])
 
 
 def sw_first_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     """Second-order effective operator from the first-order generator.
 
     ``slow_block + (G^dagger @ coupling + coupling^dagger @ G) / 2`` with
-    ``G`` from :func:`first_order_generator`.  Hermitian by construction
-    and correct through second order in the coupling.
+    ``G`` the partition's :attr:`~PartitionedHamiltonian.first_order_block`.
+    Hermitian by construction and correct through second order in the
+    coupling.
     """
-    gen = _linearized_block(ph)
+    gen = ph.first_order_block
     matrix = ph.slow_block + 0.5 * (gen.conj().T @ ph.coupling
                                     + ph.coupling.conj().T @ gen)
     return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
@@ -167,10 +160,8 @@ def block_offdiagonal_norm(matrix: np.ndarray, gen: SWGenerator,
     ``R^dagger @ matrix @ R``; zero exactly when the rotation
     block-diagonalizes the operator.
     """
-    m = matrixkit.as_matrix(matrix)
+    m = matrixkit._require_square(matrixkit.as_matrix(matrix), "operator")
     n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"operator must be square, got shape {m.shape}")
     if gen.rotation.shape != (n, n):
         raise ShapeMismatch(
             f"rotation acts on dimension {gen.rotation.shape[0]}, "

@@ -1,4 +1,5 @@
-"""Public API: one declaration per name, no unlisted keyword values."""
+"""Public API: one declaration per name, no unlisted names or keyword
+values."""
 from __future__ import annotations
 
 import importlib
@@ -27,6 +28,48 @@ KEYWORD_VALUES = [
     ("matrixkit.require_hermitian", "name", "matrix"),
 ]
 
+# The public names, in declaration order.  One name per idea: a second
+# spelling of something already listed does not get added here.
+PACKAGE_NAMES = [
+    "__version__",
+    # errors
+    "ToolkitError", "NotHermitian", "ConvergenceFailure", "DefectiveMatrix",
+    "NotPositiveDefinite", "SpectraOverlap", "ShapeMismatch",
+    "EmptyPartition", "SingularFastBlock", "Diverged", "OracleAmbiguous",
+    "CutoffTooSmall", "SeriesDiverging", "NonUnitaryMonodromy",
+    "NonUnitaryStep", "ZeroVector", "IndexOutOfRange", "WindowTooSmall",
+    "InsufficientPeaks", "WidePrincipalAngle",
+    # partition
+    "PartitionedHamiltonian", "CouplingScales", "partition_hamiltonian",
+    "coupling_scales", "invariance_radius", "spectral_gap",
+    # bloch
+    "BlochEmbedding", "bloch_map", "bloch_residual", "adiabatic_embedding",
+    "iterate_bloch", "perturbative_bloch", "exact_embedding",
+    "embedding_from_matrix",
+    # effective
+    "EffectiveOperator", "adiabatic_hamiltonian", "nonhermitian_effective",
+    "hermitian_effective", "second_order_hamiltonian",
+    "reconstruct_full_eigenvector",
+    # schriefferwolff
+    "SWGenerator", "rotation_from_block", "generator_from_embedding",
+    "first_order_generator", "embedding_from_generator",
+    "sw_first_order_hamiltonian", "block_offdiagonal_norm",
+    # floquet
+    "FloquetSpec", "TruncatedFloquetOperator", "QuasiEnergySet",
+    "build_floquet", "floquet_partition", "fold_quasienergy", "monodromy",
+    "quasi_energies_monodromy", "quasi_energies_diag",
+    "quasi_energies_effective", "restricted_inverse_series",
+    "first_order_floquet_hamiltonian",
+    # dynamics
+    "StateVector", "TimeSeries", "evolve_constant", "evolve_periodic",
+    "populations", "low_pass", "interior_peak_times", "secular_shift",
+]
+MATRIXKIT_NAMES = [
+    "EigenDecomposition", "as_matrix", "spectral_norm", "hermitize",
+    "require_hermitian", "hermitian_eig", "general_eig", "posdef_roots",
+    "sylvester_solve", "pair_eigenvalues",
+]
+
 
 def _public_functions():
     for module in (effham, matrixkit):
@@ -43,6 +86,11 @@ def test_keyword_values_are_pinned():
              for param in inspect.signature(fn).parameters.values()
              if param.default is not inspect.Parameter.empty]
     assert found == KEYWORD_VALUES
+
+
+def test_public_names_are_pinned():
+    assert effham.__all__ == PACKAGE_NAMES
+    assert matrixkit.__all__ == MATRIXKIT_NAMES
 
 
 def test_package_names_are_their_modules_objects():

@@ -19,7 +19,7 @@ from effham.bloch import (
 )
 from effham.errors import ConvergenceFailure, Diverged, OracleAmbiguous
 from effham.partition import PartitionedHamiltonian, partition_hamiltonian
-from effham.schriefferwolff import first_order_generator, tanh_block
+from effham.schriefferwolff import embedding_from_generator, first_order_generator
 from ensembles import (
     fast_block_ensemble,
     lambda_partition,
@@ -88,7 +88,7 @@ def test_iterate_bloch_rejects_unmeetable_settings_before_sweeping(
 
 def test_iterate_bloch_seeded_start():
     ph = lambda_partition()
-    seed = tanh_block(first_order_generator(ph))
+    seed = embedding_from_generator(ph, first_order_generator(ph)).matrix
     be = iterate_bloch(ph, seed=seed)
     assert be.residual <= 1e-12
     converged = iterate_bloch(ph)

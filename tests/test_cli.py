@@ -228,6 +228,21 @@ def test_solve_sw_takes_one_svd(tmp_path, capsys, monkeypatch):
     assert shapes == [(1, 2)]
 
 
+def test_solve_sw_solves_the_linearized_equation_once(tmp_path, monkeypatch):
+    # The operator and the residual's embedding share the partition's one
+    # cached Sylvester solve.
+    model = write_lambda(tmp_path)
+    solve, calls = effham.matrixkit.sylvester_solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(effham.matrixkit, "sylvester_solve", counted)
+    assert main(["solve", model, "--method", "sw"]) == 0
+    assert len(calls) == 1
+
+
 def _lambda_solutions(ph):
     """``(operator, embedding)`` per route name, each spelled out."""
     iterate, series1, series4 = (iterate_bloch(ph), perturbative_bloch(ph, 1),
@@ -708,6 +723,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, write, argv):
 
 MATRIX_1 = [[1.0]]
 FLOQUET = {"dim": 1, "drive_frequency": 10.0, "components": {"0": [[0.5]]}}
+BIG = 10 ** 400  # an integer beyond the largest double
+TOO_BIG = "model file exceeds a limit: int too large to convert to float"
 
 
 @pytest.mark.parametrize("command, model, argv, message", [
@@ -760,6 +777,11 @@ FLOQUET = {"dim": 1, "drive_frequency": 10.0, "components": {"0": [[0.5]]}}
      "override 'gap' must look like key=value"),
     ("floquet", {"floquet": FLOQUET}, ["--steps", "0"],
      "steps must be positive, got 0"),
+    ("solve", {"lambda_system": {"detuning": 0, "gap": BIG, "rabi_a": 0.4,
+                                 "rabi_b": 0.3}}, [], TOO_BIG),
+    ("solve", {"matrix": {"hamiltonian": [[1, 0], [0, [BIG, 0]]],
+                          "slow_indices": [0]}}, [], TOO_BIG),
+    ("floquet", {"floquet": {**FLOQUET, "drive_frequency": BIG}}, [], TOO_BIG),
 ])
 def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, command,
                                                   model, argv, message):
@@ -776,6 +798,40 @@ def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_deeply_nested_model_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model file exceeds a limit: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string\n")
+
+
+# Each first allocation exceeds 1 TiB, so numpy refuses it outright.
+@pytest.mark.parametrize("argv, size", [
+    (["simulate", "lam", "--tmax", "1", "--samples", "1000000000000"],
+     "7.28 TiB"),
+    (["solve", "lam", "--sweep", "gap:1:2:1000000000000"], "7.28 TiB"),
+    (["floquet", "dq", "--methods", "monodromy", "--steps", "1000000000000"],
+     "7.28 TiB"),
+    (["floquet", "dq", "--methods", "diag", "--cutoff", "1000000"],
+     "233. TiB"),
+], ids=["simulate-samples", "solve-sweep", "floquet-steps", "floquet-cutoff"])
+def test_oversized_requests_exit_2(tmp_path, capsys, argv, size):
+    models = {"lam": write_lambda(tmp_path), "dq": write_qubit(tmp_path)}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], models[argv[1]], *argv[2:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: Unable to allocate {size} for an array")
+    assert sorted(tmp_path.iterdir()) == sorted(
+        Path(m) for m in models.values())
 
 
 def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):

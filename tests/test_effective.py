@@ -9,7 +9,6 @@ from effham.effective import (
     adiabatic_hamiltonian,
     hermitian_effective,
     nonhermitian_effective,
-    pair_spectra,
     reconstruct_full_eigenvector,
     second_order_hamiltonian,
 )
@@ -119,8 +118,8 @@ def test_reconstruct_input_validation():
 
 
 def test_pair_spectra_orders_by_distance():
-    worst = pair_spectra(np.array([1.0, 5.0]),
-                         np.array([5.0 + 1e-3, 1.0 - 1e-3]))
+    worst, _ = matrixkit.pair_eigenvalues(np.array([1.0, 5.0]),
+                                          np.array([5.0 + 1e-3, 1.0 - 1e-3]))
     assert worst == pytest.approx(1e-3)
 
 

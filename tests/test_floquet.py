@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from effham.bloch import iterate_bloch, perturbative_bloch
-from effham.effective import adiabatic_hamiltonian, hermitian_effective
+from effham.effective import (EffectiveOperator, adiabatic_hamiltonian,
+                              hermitian_effective)
 from effham.errors import (
     ConvergenceFailure,
     CutoffTooSmall,
@@ -349,8 +349,9 @@ def test_auto_cutoff_gives_up_at_the_cap(monkeypatch):
     def never_settles(method):
         def route(ph):
             seen.append(ph.fast_dim // 2)
-            return (SimpleNamespace(
-                matrix=np.array([[1.0 / np.log(ph.fast_dim)]])), None)
+            return (EffectiveOperator(
+                matrix=np.array([[1.0 / np.log(ph.fast_dim)]]),
+                hermitian=True, source="drifting"), None)
         return route
 
     monkeypatch.setattr(effham.floquet, "_effective_route", never_settles)

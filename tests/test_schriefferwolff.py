@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from effham import matrixkit
 from effham.bloch import bloch_residual, iterate_bloch
@@ -18,9 +19,9 @@ from effham.schriefferwolff import (
     generator_from_embedding,
     rotation_from_block,
     sw_first_order_hamiltonian,
-    tanh_block,
 )
-from ensembles import lambda_partition, make_partition, scaling_instance
+from ensembles import (lambda_partition, make_partition, random_hermitian,
+                       scaling_instance)
 
 
 def test_scalar_generator_is_arctangent():
@@ -72,18 +73,44 @@ def test_full_generator_is_antihermitian():
     assert np.linalg.norm(s + s.conj().T) < 1e-15
 
 
-def test_tanh_block_inverts_generator_construction():
+def test_embedding_from_generator_inverts_generator_construction():
     rng = np.random.default_rng(43)
     b = 0.9 * (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    ph = make_partition(rng, 3, 2, 0.2, 0.3)
     gen = generator_from_embedding(b)
-    assert np.linalg.norm(tanh_block(gen) - b) < 1e-13
+    be = embedding_from_generator(ph, gen)
+    assert np.linalg.norm(be.matrix - b) < 1e-13
+    assert be.residual == bloch_residual(ph, be.matrix)
+    # The bare generator block is the same input.
+    assert np.array_equal(embedding_from_generator(ph, gen.block).matrix,
+                          be.matrix)
 
 
-def test_tanh_block_rejects_wide_principal_angle():
+def test_embedding_from_generator_rejects_wide_principal_angle():
+    ph = PartitionedHamiltonian(
+        slow_block=np.array([[0.0]]), fast_block=np.array([[1.0]]),
+        coupling=np.array([[0.1]]), slow_indices=(0,), fast_indices=(1,))
     gen = SWGenerator(block=np.array([[2.0]]), rotation=np.eye(2),
                       order="first_order")
-    with pytest.raises(WidePrincipalAngle):
-        tanh_block(gen)
+    for arg in (gen, gen.block):
+        with pytest.raises(WidePrincipalAngle):
+            embedding_from_generator(ph, arg)
+
+
+def test_first_order_block_is_solved_once_per_partition(monkeypatch):
+    ph = lambda_partition()
+    solve, calls = matrixkit.sylvester_solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(matrixkit, "sylvester_solve", counted)
+    gen = first_order_generator(ph)
+    sw_first_order_hamiltonian(ph)
+    embedding_from_generator(ph, ph.first_order_block)
+    assert len(calls) == 1
+    assert gen.block is ph.first_order_block
 
 
 def test_first_order_generator_frozen_solution():
@@ -182,3 +209,31 @@ def test_offdiagonal_norm_shape_guards():
         block_offdiagonal_norm(np.eye(4), gen, 2)
     with pytest.raises(ShapeMismatch):
         block_offdiagonal_norm(ph.block_matrix, gen, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.integers(1, 4), q=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 30.0]),
+       size=st.sampled_from([0.0, 0.05, 1.0, 10.0]))
+def test_hermitized_operator_is_the_rotated_slow_corner(p, q, seed, scale,
+                                                        size):
+    # For any block B: hermitian_effective is hermitian, R =
+    # rotation_from_block(B) is unitary, and the slow corner of
+    # R^dagger H R is the hermitized operator.
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, p + q, scale)
+    ph = PartitionedHamiltonian(
+        slow_block=h[:p, :p], fast_block=h[p:, p:], coupling=h[p:, :p],
+        slow_indices=tuple(range(p)), fast_indices=tuple(range(p, p + q)))
+    b = size * (rng.standard_normal((q, p)) + 1j * rng.standard_normal((q, p)))
+    op = hermitian_effective(ph, b)
+    assert op.hermitian
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+    r = rotation_from_block(b)
+    b_norm = np.linalg.norm(b, 2)
+    defect = np.linalg.norm(r.conj().T @ r - np.eye(p + q), 2)
+    assert defect <= 1e-13 * (1.0 + b_norm)
+    corner = (r.conj().T @ ph.block_matrix @ r)[:p, :p]
+    bound = 1e-13 * max(1.0, scale) * (1.0 + b_norm ** 2)
+    assert np.linalg.norm(corner - op.matrix, 2) <= bound
