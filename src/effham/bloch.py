@@ -17,6 +17,11 @@ B`` the equation is ``lam X = rhs(X) = -C + X slow_block + X (C^dagger X)``:
 the inverse fast block is a division, and ``lam X - rhs(X)`` is a defect
 with the norm of the bare one, each O(q p^2).  Returned blocks and series
 terms are bare, and every reported residual is :func:`bloch_residual`.
+
+Every solver but :func:`exact_embedding` takes a stacked partition (blocks
+of shape ``(..., q, p)``) and returns the stack of the embeddings each
+partition gets alone, bit for bit; residuals and iteration counts are then
+arrays over the leading axes.
 """
 from __future__ import annotations
 
@@ -55,7 +60,9 @@ class BlochEmbedding:
     ``iterative``, ``perturbative``, ``sw_exact`` or ``custom``, and
     ``order_or_iterations`` the series order or iteration count that
     produced it.  Perturbative embeddings also carry their individual
-    series terms.
+    series terms.  For a stacked partition ``matrix`` has shape
+    ``(..., q, p)`` and ``residual`` (and an iteration count) one entry per
+    partition.
     """
 
     matrix: np.ndarray
@@ -67,10 +74,10 @@ class BlochEmbedding:
 
 def _check_block(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     cand = np.asarray(candidate, dtype=complex)
-    if cand.shape != (ph.fast_dim, ph.slow_dim):
+    if cand.shape != ph.coupling.shape:
         raise ShapeMismatch(
             f"embedding block has shape {cand.shape}, expected "
-            f"({ph.fast_dim}, {ph.slow_dim})")
+            f"{ph.coupling.shape}")
     return cand
 
 
@@ -84,11 +91,11 @@ def _check_series_order(order: int) -> int:
     return order
 
 
-def _eig_rhs(ph: PartitionedHamiltonian, block: np.ndarray) -> np.ndarray:
+def _eig_rhs(c: np.ndarray, slow: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``rhs(X)`` of the block equation in the fast eigenbasis (module
-    docstring); the defect of ``X`` is ``lam X - rhs(X)``."""
-    c = ph.eig_coupling
-    return -c + block @ ph.slow_block + block @ (c.conj().T @ block)
+    docstring), with ``C = c`` and ``slow_block = slow``; the defect of
+    ``X`` is ``lam X - rhs(X)``."""
+    return -c + block @ slow + block @ (matrixkit._adjoint(c) @ block)
 
 
 def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
@@ -100,22 +107,25 @@ def bloch_map(ph: PartitionedHamiltonian, candidate: np.ndarray) -> np.ndarray:
     """
     cand = _check_block(ph, candidate)
     ed = ph.fast_eig
-    rhs = _eig_rhs(ph, ed.vectors.conj().T @ cand)
-    return ed.vectors @ (rhs / ed.values[:, None])
+    rhs = _eig_rhs(ph.eig_coupling, ph.slow_block,
+                   matrixkit._adjoint(ed.vectors) @ cand)
+    return ed.vectors @ (rhs / ed.values[..., :, None])
 
 
-def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray) -> float:
-    """Spectral norm of the block-equation defect of a candidate embedding."""
+def bloch_residual(ph: PartitionedHamiltonian, candidate: np.ndarray):
+    """Spectral norm of the block-equation defect of a candidate embedding,
+    one per partition of a stack."""
     cand = _check_block(ph, candidate)
     defect = (ph.coupling + ph.fast_block @ cand - cand @ ph.slow_block
-              - cand @ (ph.coupling.conj().T @ cand))
+              - cand @ (matrixkit._adjoint(ph.coupling) @ cand))
     return matrixkit.spectral_norm(defect)
 
 
 def adiabatic_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:
-    """Leading-order embedding ``-fast_block^-1 @ coupling``."""
+    """Leading-order embedding ``-fast_block^-1 @ coupling``, of shape
+    ``(..., q, p)`` for a stacked partition."""
     ed = ph.fast_eig
-    block = -(ed.vectors @ (ph.eig_coupling / ed.values[:, None]))
+    block = -(ed.vectors @ (ph.eig_coupling / ed.values[..., :, None]))
     return BlochEmbedding(matrix=block, residual=bloch_residual(ph, block),
                           method="adiabatic", order_or_iterations=0)
 
@@ -132,7 +142,10 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
     Sweeps run in the fast eigenbasis (module docstring); one right-hand
     side per sweep gives the next iterate and the defect of the current
     one, which decides convergence and the guards below.  The reported
-    ``residual`` is the bare :func:`bloch_residual` of the result.
+    ``residual`` is the bare :func:`bloch_residual` of the result.  In a
+    stacked partition each partition stops sweeping once it has converged,
+    so it takes exactly the sweeps it takes alone, and
+    ``order_or_iterations`` counts them per partition.
 
     Raises
     ------
@@ -153,32 +166,50 @@ def iterate_bloch(ph: PartitionedHamiltonian, *, tol: float = 1e-12,
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     ed = ph.fast_eig
-    lam = ed.values[:, None]
+    lead, (q, p) = ph.coupling.shape[:-2], ph.coupling.shape[-2:]
+    # Sweeps run on a flat stack of partitions; one matrix is a stack of one.
+    lam = ed.values.reshape(-1, q, 1)
+    c = ph.eig_coupling.reshape(-1, q, p)
+    slow = ph.slow_block.reshape(-1, p, p)
     start = None if seed is None else _check_block(ph, seed).copy()
-    block = (-(ph.eig_coupling / lam) if start is None
-             else ed.vectors.conj().T @ start)
-    rhs = _eig_rhs(ph, block)
-    initial = resid = matrixkit.spectral_norm(lam * block - rhs)
-    done = 0
-    while resid > tol:
-        if done >= max_iter:
+    block = (-(c / lam) if start is None else
+             (matrixkit._adjoint(ed.vectors) @ start).reshape(-1, q, p))
+    rhs = _eig_rhs(c, slow, block)
+    resid = matrixkit.spectral_norm(lam * block - rhs)
+    initial = resid.copy()
+    done = np.zeros(resid.shape, dtype=int)
+    live, sweep = np.flatnonzero(resid > tol), 0  # live partitions took sweep
+    while live.size:
+        if sweep >= max_iter:
             if require_convergence:
                 raise ConvergenceFailure(
-                    f"residual {resid:.3e} above {tol:.1e} after {max_iter} sweeps")
+                    f"residual {resid[live[0]]:.3e} above {tol:.1e} after "
+                    f"{max_iter} sweeps")
             break
-        done += 1
-        block = rhs / lam
-        if not np.all(np.isfinite(block)):
-            raise Diverged(f"iteration produced non-finite entries at sweep {done}")
-        rhs = _eig_rhs(ph, block)
-        resid = matrixkit.spectral_norm(lam * block - rhs)
-        if resid > 1e6 * initial:
+        sweep += 1
+        at = slice(None) if live.size == resid.size else live
+        done[at] = sweep
+        new = rhs[at] / lam[at]
+        if not np.isfinite(new).all():
+            raise Diverged(f"iteration produced non-finite entries at sweep {sweep}")
+        block[at] = new
+        rhs[at] = _eig_rhs(c[at], slow[at], new)
+        resid[at] = now = matrixkit.spectral_norm(lam[at] * new - rhs[at])
+        grown = now > 1e6 * initial[at]
+        if grown.any():
+            i = live[np.argmax(grown)]
             raise Diverged(
-                f"residual grew to {resid:.3e} from {initial:.3e} "
-                f"at sweep {done}")
-    matrix = start if done == 0 and start is not None else ed.vectors @ block
+                f"residual grew to {resid[i]:.3e} from {initial[i]:.3e} "
+                f"at sweep {sweep}")
+        live = live[now > tol]
+    matrix = ed.vectors @ block.reshape(ph.coupling.shape)
+    if start is not None:  # an unswept seed is returned as given
+        matrix = np.where((done == 0).reshape(lead)[..., None, None],
+                          start, matrix)
     return BlochEmbedding(matrix=matrix, residual=bloch_residual(ph, matrix),
-                          method="iterative", order_or_iterations=done)
+                          method="iterative",
+                          order_or_iterations=matrixkit._per_matrix(
+                              done.reshape(lead)))
 
 
 def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding:
@@ -192,25 +223,26 @@ def perturbative_bloch(ph: PartitionedHamiltonian, order: int) -> BlochEmbedding
 
     The terms are built in the fast eigenbasis and converted to bare
     coordinates together, by one product.  Returns the embedding summing
-    terms 1..``order`` with the terms kept for scaling diagnostics.
+    terms 1..``order`` with the terms kept for scaling diagnostics; for a
+    stacked partition each term has shape ``(..., q, p)``.
     ``order`` must lie in ``1..MAX_SERIES_ORDER`` (ValueError otherwise,
     before any product).
     """
     _check_series_order(order)
     ed = ph.fast_eig
-    lam = ed.values[:, None]
-    coupling_t = ph.eig_coupling.conj().T
+    lam = ed.values[..., :, None]
+    coupling_t = matrixkit._adjoint(ph.eig_coupling)
     terms: list[np.ndarray] = [-(ph.eig_coupling / lam)]
     for k in range(1, order):
         rhs = terms[k - 1] @ ph.slow_block
         for l in range(1, k):
             rhs = rhs + terms[k - l - 1] @ (coupling_t @ terms[l - 1])
         terms.append(rhs / lam)
-    bare = ed.vectors @ np.stack(terms)
-    total = np.sum(bare, axis=0)
+    bare = ed.vectors[..., None, :, :] @ np.stack(terms, axis=-3)
+    total = np.sum(bare, axis=-3)
     return BlochEmbedding(matrix=total, residual=bloch_residual(ph, total),
                           method="perturbative", order_or_iterations=order,
-                          terms=tuple(bare))
+                          terms=tuple(np.moveaxis(bare, -3, 0)))
 
 
 def exact_embedding(ph: PartitionedHamiltonian) -> BlochEmbedding:

@@ -275,7 +275,17 @@ def _parse_matrix_model(payload: dict) -> Model:
             or not all(isinstance(i, int) and not isinstance(i, bool)
                        for i in idx)):
         raise ModelFormatError("slow_indices must be a non-empty integer list")
-    labels = tuple(f"c{i}" for i in range(h.shape[0]))
+    n = h.shape[0]
+    if h.shape[1] != n:
+        raise ModelFormatError(f"hamiltonian must be square, got shape {h.shape}")
+    for i in idx:
+        if not 0 <= i < n:
+            raise ModelFormatError(
+                f"slow index {i} outside matrix of dimension {n}")
+    if len(set(idx)) == n:
+        raise ModelFormatError(
+            f"slow_indices cover all {n} levels; the fast sector is empty")
+    labels = tuple(f"c{i}" for i in range(n))
     return Model(kind="matrix", hamiltonian=h,
                  slow_indices=tuple(int(i) for i in idx), labels=labels)
 
@@ -302,6 +312,10 @@ def _parse_floquet(payload: dict) -> Model:
             raise ModelFormatError(
                 f"harmonic key {key!r} is not an integer") from None
         comps[k] = parse_matrix_entry(val, f"component {key}")
+        if comps[k].shape != (dim, dim):
+            raise ModelFormatError(
+                f"component {k} has shape {comps[k].shape}, expected "
+                f"({dim}, {dim})")
     spec = FloquetSpec(dim=dim, drive_frequency=freq, components=comps)
     return Model(kind="floquet", floquet=spec,
                  labels=tuple(f"c{i}" for i in range(dim)))
@@ -419,10 +433,11 @@ def _solve_once(ph, args):
 
 
 def _sweep(args, names, header, cells) -> int:
-    """CSV table of one ``name:lo:hi:steps`` sweep over ``names``: each
-    row is the value and ``cells(name, value)``, under ``header``.  The
-    first failing point aborts the sweep with its own error, so the table
-    is written only after every point has succeeded."""
+    """CSV table of one ``name:lo:hi:steps`` sweep over ``names``: row
+    ``i`` is value ``i`` and the ``i``-th row of ``cells(name, values)``,
+    which gets every value at once, under ``header``.  The first failing
+    point aborts the sweep with its own error, so the table is written only
+    after every point has succeeded."""
     parts = args.sweep.split(":")
     if len(parts) != 4:
         raise ModelFormatError("sweep must look like name:lo:hi:steps")
@@ -437,8 +452,9 @@ def _sweep(args, names, header, cells) -> int:
         raise ModelFormatError("sweep needs at least one step")
     if name not in names:
         raise ModelFormatError(f"unknown sweep parameter {name!r}")
-    rows = [[name, *header]] + [[value, *cells(name, value)]
-                                for value in np.linspace(lo_f, hi_f, n)]
+    values = np.linspace(lo_f, hi_f, n)
+    rows = [[name, *header]] + [[value, *row] for value, row in
+                                zip(values, cells(name, values))]
     _write_text(args.out, _csv(rows))
     return 0
 
@@ -494,14 +510,26 @@ def _solve_sweep(args, model: Model) -> int:
         raise ModelFormatError("solve sweeps are defined for lambda_system "
                                "models only")
 
-    def cells(name: str, value: float) -> list:
-        h = three_level_matrix(
-            **{**model.params, name: _lambda_value(name, value)})
+    def solve(h):
         ph = partition_hamiltonian(h, model.slow_indices)
         scales = coupling_scales(ph)
         op, be = _solve_once(ph, args)
-        return [*np.real(op.spectrum()), be.residual, scales.epsilon,
-                scales.epsilon_prime, scales.radius]
+        return (np.real(op.spectrum()), be.residual, scales.epsilon,
+                scales.epsilon_prime, scales.radius)
+
+    def cells(name: str, values) -> list:
+        # One stack of matrices runs the pipeline once for every point.
+        h = np.stack([three_level_matrix(
+            **{**model.params, name: _lambda_value(name, value)})
+            for value in values])
+        try:
+            spectra, *columns = solve(h)
+        except (ToolkitError, ValueError):
+            for point in h:  # the first failing point raises its own error
+                solve(point)
+            raise
+        return [[*spectrum, *cols] for spectrum, *cols in zip(spectra,
+                                                             *columns)]
 
     header = [f"eig_{i}" for i in range(len(model.slow_indices))] + [
         "bloch_residual", "epsilon", "epsilon_prime", "radius"]
@@ -652,10 +680,12 @@ def cmd_floquet(args) -> int:
                for token, (values, dev) in zip(tokens, rows)]))
         return 0
 
-    def cells(name: str, value: float) -> list:
-        swept = _scaled_spec(spec, name, float(value))
-        rows = _quasi_rows(tokens, swept, args.steps, args.cutoff)
-        return [x for values, dev in rows for x in (*values, dev)]
+    def cells(name: str, values) -> list:
+        def point(value) -> list:
+            swept = _scaled_spec(spec, name, float(value))
+            rows = _quasi_rows(tokens, swept, args.steps, args.cutoff)
+            return [x for row, dev in rows for x in (*row, dev)]
+        return [point(value) for value in values]  # each its own ladders
 
     header = [f"{token}_{col}" for token in tokens
               for col in [*(f"q{i}" for i in range(d)), "dev"]]

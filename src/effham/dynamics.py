@@ -4,10 +4,11 @@ Constant generators are evolved exactly (hermitian ones through a single
 eigendecomposition, general ones through one scaling-and-squaring
 exponential per distinct time gap); periodic generators are evolved with
 ``SUBSTEPS_PER_PERIOD`` midpoint-sampled piecewise-constant steps per
-period, and whole periods between samples reuse one cached one-period
-propagator.  The analysis helpers extract component populations, remove
-fast ripple with a moving average, and estimate the secular time shift
-between two slowly oscillating signals by pairing their interior maxima.
+period, and every whole period between samples reuses one cached
+one-period propagator.  The analysis helpers extract component
+populations, remove fast ripple with a moving average, and estimate the
+secular time shift between two slowly oscillating signals by pairing
+their interior maxima.
 """
 from __future__ import annotations
 
@@ -148,19 +149,34 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
                       generator_kind=label)
 
 
+def _substeps(spec: FloquetSpec, psi: np.ndarray, start: float, stop: float,
+              nominal: float) -> np.ndarray:
+    """``psi`` advanced over ``[start, stop]`` by equal midpoint substeps of
+    at most ``nominal`` (rounding aside), in slices of at most
+    ``SUBSTEPS_PER_PERIOD`` of them so memory stays bounded."""
+    count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
+    h = (stop - start) / count
+    for first in range(0, count, SUBSTEPS_PER_PERIOD):
+        n = min(SUBSTEPS_PER_PERIOD, count - first)
+        end = stop if first + n == count else start + (first + n) * h
+        psi = _propagator(spec, start + first * h, end, n) @ psi
+    return psi
+
+
 def evolve_periodic(spec: FloquetSpec, state: StateVector,
                     times) -> TimeSeries:
     """Evolve a state under a periodic generator from ``t = 0``.
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
     ``SUBSTEPS_PER_PERIOD`` substeps per drive period; sample times must be
-    non-negative and non-decreasing.  A gap of ``m`` whole periods between
-    period boundaries is advanced by ``U_T^m``, with ``U_T`` built once from
-    exactly ``SUBSTEPS_PER_PERIOD`` substeps; any other gap by the product
-    of its own substeps, in slices of at most ``SUBSTEPS_PER_PERIOD`` of
-    them so memory stays bounded however long the gap.  Raises
-    :class:`NonUnitaryStep` if the state norm drifts from its initial value
-    by more than 1e-8.
+    non-negative and non-decreasing.  Whole periods are advanced by
+    ``U_T``, built once from exactly ``SUBSTEPS_PER_PERIOD`` substeps: a
+    gap of ``m`` whole periods between period boundaries by ``U_T^m``, and
+    a gap that holds whole periods but starts or ends off the period grid
+    by its own substeps up to the first boundary (the head), ``U_T^m``,
+    then its own substeps from the last boundary (the tail).  A gap inside
+    one period takes its own substeps.  Raises :class:`NonUnitaryStep` if
+    the state norm drifts from its initial value by more than 1e-8.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
@@ -168,8 +184,9 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     t = _check_times(times)
     if t[0] < 0.0 or np.any(np.diff(t) < 0.0):
         raise ValueError("sample times must be non-negative and non-decreasing")
-    nominal = spec.period / SUBSTEPS_PER_PERIOD
-    phase = t / spec.period
+    period = spec.period
+    nominal = period / SUBSTEPS_PER_PERIOD
+    phase = t / period
     on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
     psi = state.amplitudes.copy()
     norm0 = float(np.linalg.norm(psi))
@@ -177,6 +194,15 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
         raise ZeroVector("cannot evolve a zero state")
     amps = np.empty((t.size, spec.dim), dtype=complex)
     u_period = None
+
+    def periods(psi: np.ndarray, m: int) -> np.ndarray:
+        nonlocal u_period
+        if u_period is None:
+            u_period = _propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD)
+        for _ in range(m):
+            psi = u_period @ psi
+        return psi
+
     current, from_boundary = 0.0, True
     for i, target in enumerate(t):
         gap = target - current
@@ -184,19 +210,21 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
             # A whole period keeps SUBSTEPS_PER_PERIOD despite rounding.
             count = int(max(1, np.ceil(gap / nominal - 1e-9)))
             whole, rest = divmod(count, SUBSTEPS_PER_PERIOD)
+            # Indices of the first and last period boundary inside the gap.
+            first = (round(current / period) if from_boundary
+                     else int(np.ceil(current / period)))
+            last = (round(target / period) if on_boundary[i]
+                    else int(np.floor(target / period)))
             if rest == 0 and from_boundary and on_boundary[i]:
-                if u_period is None:
-                    u_period = _propagator(spec, 0.0, spec.period,
-                                           SUBSTEPS_PER_PERIOD)
-                for _ in range(whole):
-                    psi = u_period @ psi
+                psi = periods(psi, whole)
+            elif last > first:
+                if not from_boundary:
+                    psi = _substeps(spec, psi, current, first * period, nominal)
+                psi = periods(psi, last - first)
+                if not on_boundary[i]:
+                    psi = _substeps(spec, psi, last * period, target, nominal)
             else:
-                h = gap / count
-                for first in range(0, count, SUBSTEPS_PER_PERIOD):
-                    n = min(SUBSTEPS_PER_PERIOD, count - first)
-                    stop = (target if first + n == count
-                            else current + (first + n) * h)
-                    psi = _propagator(spec, current + first * h, stop, n) @ psi
+                psi = _substeps(spec, psi, current, target, nominal)
             current, from_boundary = target, on_boundary[i]
         amps[i] = psi
         drift = abs(float(np.linalg.norm(psi)) / norm0 - 1.0)

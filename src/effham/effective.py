@@ -6,6 +6,10 @@ hermitian for approximate ``B``; the hermitization here conjugates it with
 the normalization factor ``(1 + B^dagger B)^(-1/2)``, which is hermitian for
 any ``B`` and agrees with the exact rotated slow block when ``B`` solves the
 block equation.
+
+Every function here but :func:`reconstruct_full_eigenvector` takes a stacked
+partition and embedding (blocks of shape ``(..., q, p)``) and returns the
+stack of the operators each gets alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +34,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectiveOperator:
-    """Slow-sector operator with its hermiticity flag and provenance."""
+    """Slow-sector operator with its hermiticity flag and provenance;
+    ``matrix`` has shape ``(..., p, p)``, one operator per partition of a
+    stack."""
 
     matrix: np.ndarray
     hermitian: bool
@@ -38,7 +44,8 @@ class EffectiveOperator:
     norm_factor: np.ndarray | None = None
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues: real ascending if hermitian, else sorted by real part."""
+        """Eigenvalues, shape ``(..., p)``: real ascending if hermitian, else
+        sorted by real part."""
         if self.hermitian:
             return matrixkit.hermitian_eig(self.matrix).values
         return matrixkit.general_eig(self.matrix).values
@@ -59,7 +66,7 @@ def adiabatic_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     """Leading-order elimination
     ``slow_block - coupling^dagger @ fast_block^-1 @ coupling``."""
     c = ph.eig_coupling
-    shift = c.conj().T @ (c / ph.fast_eig.values[:, None])
+    shift = matrixkit._adjoint(c) @ (c / ph.fast_eig.values[..., :, None])
     return EffectiveOperator(matrix=matrixkit.hermitize(ph.slow_block - shift),
                              hermitian=True, source="adiabatic")
 
@@ -72,7 +79,7 @@ def nonhermitian_effective(ph: PartitionedHamiltonian,
     only in that limit.
     """
     block = _block(embedding)
-    matrix = ph.slow_block + ph.coupling.conj().T @ block
+    matrix = ph.slow_block + matrixkit._adjoint(ph.coupling) @ block
     return EffectiveOperator(matrix=matrix, hermitian=False,
                              source=_source(embedding, "nonhermitian"))
 
@@ -91,14 +98,16 @@ def hermitian_effective(ph: PartitionedHamiltonian,
     The result acts in the coordinates of the slow columns ``R[:, :p]`` of
     ``R = rotation_from_block(B)``, not in the bare slow levels: a state
     ``psi`` in partitioned (slow-first) order enters as
-    ``R[:, :p]^dagger psi`` and is read back as ``R[:, :p] @ c``.
+    ``R[:, :p]^dagger psi`` and is read back as ``R[:, :p] @ c``.  A
+    stacked partition takes blocks of shape ``(..., q, p)`` and gives
+    operators of shape ``(..., p, p)``.
     """
     block = _block(embedding)
-    p = ph.slow_dim
-    core = (ph.slow_block + ph.coupling.conj().T @ block
-            + block.conj().T @ ph.coupling
-            + block.conj().T @ ph.fast_block @ block)
-    root, inv_root = matrixkit.posdef_roots(np.eye(p) + block.conj().T @ block)
+    block_h = matrixkit._adjoint(block)
+    core = (ph.slow_block + matrixkit._adjoint(ph.coupling) @ block
+            + block_h @ ph.coupling + block_h @ ph.fast_block @ block)
+    root, inv_root = matrixkit.posdef_roots(np.eye(ph.slow_dim)
+                                            + block_h @ block)
     matrix = matrixkit.hermitize(inv_root @ matrixkit.hermitize(core) @ inv_root)
     return EffectiveOperator(matrix=matrix, hermitian=True,
                              source=_source(embedding, "hermitian"),
@@ -113,10 +122,11 @@ def second_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     one more order in the inverse fast block.
     """
     c = ph.eig_coupling
-    lam = ph.fast_eig.values[:, None]
+    lam = ph.fast_eig.values[..., :, None]
     inv_c = c / lam
-    first = ph.slow_block - c.conj().T @ inv_c
-    weight = c.conj().T @ (inv_c / lam)
+    c_h = matrixkit._adjoint(c)
+    first = ph.slow_block - c_h @ inv_c
+    weight = c_h @ (inv_c / lam)
     matrix = first - 0.5 * (weight @ ph.slow_block + ph.slow_block @ weight)
     return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
                              hermitian=True, source="second_order")

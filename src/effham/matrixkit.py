@@ -42,57 +42,92 @@ COND_LIMIT = 1e12
 GAP_TOL = 1e-9
 
 
+def _as_stack(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a finite complex array of shape ``(..., m, n)``: one
+    matrix, or a stack of them along the leading axes."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim < 2:
+        raise ShapeMismatch(
+            f"{name} must be a matrix or a stack of them, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a finite, 2-D, complex array."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _as_stack(arr, name)
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value; 0.0, without an SVD, for a zero or empty one."""
+def _per_matrix(values):
+    """One value per matrix: a Python scalar for one matrix (0-d), the array
+    over the leading axes for a stack."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
+def _first_failing(bad):
+    """Index of the first matrix of a stack that fails a check (``bad``, a
+    boolean array or numpy bool per matrix, in C order), ``()`` for one
+    failing matrix, or None when none fails."""
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of ``a``, shape ``(..., m, n)``."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def spectral_norm(a: np.ndarray):
+    """Largest singular value of each matrix of ``a``, shape ``(..., m, n)``
+    (:func:`_per_matrix`); zero or empty input gives 0.0 without an SVD."""
     a = np.asarray(a, dtype=complex)
     if not a.any():
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+        return _per_matrix(np.zeros(a.shape[:-2]))
+    return _per_matrix(np.linalg.svd(a, compute_uv=False).max(axis=-1))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(a + a^dagger) / 2``."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part ``(a + a^dagger) / 2`` of each matrix of ``a``."""
+    return 0.5 * (a + _adjoint(a))
 
 
 def _hermiticity_excess(a: np.ndarray, tol: float,
                         residual: np.ndarray | None = None):
-    """``(||residual||, max(1, ||a||))`` if the first exceeds ``tol`` times
-    the second, else None.  ``residual`` defaults to ``a - a^dagger``; an
-    exact zero costs no SVD, and ``||a||`` is taken only past ``tol``."""
+    """``(||residual||, max(1, ||a||))`` of the first matrix of ``a`` whose
+    first entry exceeds ``tol`` times the second, else None.  ``residual``
+    defaults to ``a - a^dagger``; an exact zero costs no SVD, and ``||a||``
+    is taken only past ``tol``."""
     if residual is None:
         a = np.asarray(a, dtype=complex)
-        residual = a - a.conj().T
-    dev = spectral_norm(residual)
-    if dev <= tol:
+        residual = a - _adjoint(a)
+    dev = np.asarray(spectral_norm(residual))
+    if not (dev > tol).any():
         return None
-    scale = max(1.0, spectral_norm(a))
-    return (dev, scale) if dev > tol * scale else None
+    scale = np.fmax(1.0, spectral_norm(a))
+    i = _first_failing(dev > tol * scale)
+    return None if i is None else (float(dev[i]), float(scale[i]))
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERM_TOL,
                       name: str = "matrix") -> np.ndarray:
-    """Raise :class:`NotHermitian` unless ``a`` is hermitian within ``tol``.
+    """Raise :class:`NotHermitian` unless every matrix of ``a``, shape
+    ``(..., n, n)``, is hermitian within ``tol``.
 
     The deviation ``||a - a^dagger||`` is compared against
     ``tol * max(1, ||a||)`` so that the check is absolute for small matrices
-    and relative for large ones.
+    and relative for large ones; the first failing matrix is reported.
     """
     excess = _hermiticity_excess(a, tol)
     if excess is not None:
@@ -108,7 +143,9 @@ class EigenDecomposition:
 
     For hermitian input the values are real and ascending and the vectors
     are orthonormal; otherwise the values are sorted by real part (ties by
-    imaginary part) and the vectors are normalized but not orthogonal.
+    imaginary part) and the vectors are normalized but not orthogonal.  A
+    stack of matrices gives ``values`` of shape ``(..., n)`` and
+    ``vectors`` of shape ``(..., n, n)``, one decomposition per matrix.
     """
 
     values: np.ndarray
@@ -117,8 +154,9 @@ class EigenDecomposition:
 
 
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a matrix hermitian to ``HERM_TOL``, ascending."""
-    a = _require_square(as_matrix(a))
+    """Eigendecomposition of each matrix of ``a``, shape ``(..., n, n)``,
+    hermitian to ``HERM_TOL``, ascending."""
+    a = _require_square(_as_stack(a))
     require_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
@@ -128,25 +166,31 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
 
 
 def general_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a general matrix.
+    """Eigendecomposition of each general matrix of ``a``, shape
+    ``(..., n, n)``.
 
-    Raises :class:`DefectiveMatrix` when the condition number of the
+    Raises :class:`DefectiveMatrix` when the condition number of an
     eigenvector matrix exceeds ``COND_LIMIT``, too ill-conditioned to
     define a meaningful spectral decomposition.
     """
-    a = _require_square(as_matrix(a))
+    a = _require_square(_as_stack(a))
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(f"general eigensolver failed: {exc}") from exc
     sv = np.linalg.svd(vectors, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    with np.errstate(divide="ignore"):
+        cond = np.where(sv[..., -1] == 0.0, np.inf, sv[..., 0] / sv[..., -1])
+    i = _first_failing(cond > COND_LIMIT)
+    if i is not None:
         raise DefectiveMatrix(
-            f"eigenbasis condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    order = np.lexsort((values.imag, values.real))
-    return EigenDecomposition(values=values[order], vectors=vectors[:, order],
-                              hermitian=False)
+            f"eigenbasis condition number {float(cond[i]):.3e} exceeds "
+            f"{COND_LIMIT:.1e}")
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return EigenDecomposition(
+        values=np.take_along_axis(values, order, axis=-1),
+        vectors=np.take_along_axis(vectors, order[..., None, :], axis=-1),
+        hermitian=False)
 
 
 def _heaviest_columns(rows: np.ndarray, count: int, floor: float,
@@ -169,15 +213,18 @@ def _heaviest_columns(rows: np.ndarray, count: int, floor: float,
 
 
 def posdef_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian square root and inverse square root of a positive definite
-    matrix, both from one eigendecomposition."""
+    """Hermitian square root and inverse square root of each positive
+    definite matrix of ``a``, shape ``(..., n, n)``, both from one
+    eigendecomposition."""
     ed = hermitian_eig(a)
-    if ed.values[0] <= 0.0:
+    i = _first_failing(ed.values[..., 0] <= 0.0)
+    if i is not None:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {ed.values[0]:.3e} is not positive")
-    root = np.sqrt(ed.values)
-    return (hermitize((ed.vectors * root) @ ed.vectors.conj().T),
-            hermitize((ed.vectors / root) @ ed.vectors.conj().T))
+            f"smallest eigenvalue {ed.values[i][0]:.3e} is not positive")
+    root = np.sqrt(ed.values)[..., None, :]
+    back = _adjoint(ed.vectors)
+    return (hermitize((ed.vectors * root) @ back),
+            hermitize((ed.vectors / root) @ back))
 
 
 def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
@@ -188,21 +235,23 @@ def sylvester_solve(slow: EigenDecomposition, fast: EigenDecomposition,
     equation is divided through by the eigenvalue differences, so the
     solution exists and is unique exactly when the two spectra are disjoint.
     :class:`SpectraOverlap` is raised when any eigenvalue pair comes closer
-    than ``GAP_TOL``.
+    than ``GAP_TOL``.  Stacked decompositions and a right-hand side of
+    shape ``(..., q, p)`` solve one equation per matrix.
     """
-    rhs = as_matrix(rhs, "right-hand side")
-    shape = (fast.values.size, slow.values.size)
-    if rhs.shape != shape:
+    rhs = _as_stack(rhs, "right-hand side")
+    shape = (fast.values.shape[-1], slow.values.shape[-1])
+    if rhs.shape[-2:] != shape:
         raise ShapeMismatch(
             f"right-hand side shape {rhs.shape} does not match {shape}")
-    denom = slow.values[None, :] - fast.values[:, None]
-    gap = float(np.min(np.abs(denom))) if denom.size else np.inf
-    if gap < GAP_TOL:
+    denom = slow.values[..., None, :] - fast.values[..., :, None]
+    gap = np.min(np.abs(denom), axis=(-2, -1), initial=np.inf)
+    i = _first_failing(gap < GAP_TOL)
+    if i is not None:
         raise SpectraOverlap(
-            f"slow and fast spectra are separated by only {gap:.3e} "
-            f"(required {GAP_TOL:.1e})", gap=gap)
-    mixed = fast.vectors.conj().T @ rhs @ slow.vectors
-    return fast.vectors @ (mixed / denom) @ slow.vectors.conj().T
+            f"slow and fast spectra are separated by only {gap[i]:.3e} "
+            f"(required {GAP_TOL:.1e})", gap=float(gap[i]))
+    mixed = _adjoint(fast.vectors) @ rhs @ slow.vectors
+    return fast.vectors @ (mixed / denom) @ _adjoint(slow.vectors)
 
 
 def pair_eigenvalues(candidates: np.ndarray,

@@ -98,13 +98,14 @@ def generator_from_embedding(embedding: BlochEmbedding | np.ndarray) -> SWGenera
 
 
 def _tan_svd(gen_block: np.ndarray):
-    """``tan`` of the principal angles of ``gen_block``: the matching
-    embedding block together with its thin SVD ``(u, tan(s), vh)``."""
+    """``tan`` of the principal angles of ``gen_block``, shape
+    ``(..., q, p)``: the matching embedding block together with its thin
+    SVD ``(u, tan(s), vh)``."""
     u, s, vh = np.linalg.svd(gen_block, full_matrices=False)
-    if s.size and s[0] >= 0.5 * np.pi:
+    if s.size and np.any(s[..., 0] >= 0.5 * np.pi):
         raise WidePrincipalAngle("generator has a principal angle >= pi/2")
     tan_s = np.tan(s)
-    return (u * tan_s) @ vh, u, tan_s, vh
+    return (u * tan_s[..., None, :]) @ vh, u, tan_s, vh
 
 
 def first_order_generator(ph: PartitionedHamiltonian) -> SWGenerator:
@@ -127,6 +128,7 @@ def embedding_from_generator(ph: PartitionedHamiltonian,
                              gen: SWGenerator | np.ndarray) -> BlochEmbedding:
     """Embedding whose block is the ``tan`` of the principal angles of a
     generator or its bare block ``G``; inverts :func:`generator_from_embedding`.
+    A stacked partition takes a stack of blocks, shape ``(..., q, p)``.
 
     A first-order generator gives a seed that resums the slow-block
     dependence of the linearized equation.  Every principal angle must be
@@ -142,11 +144,11 @@ def sw_first_order_hamiltonian(ph: PartitionedHamiltonian) -> EffectiveOperator:
     ``slow_block + (G^dagger @ coupling + coupling^dagger @ G) / 2`` with
     ``G`` the partition's :attr:`~PartitionedHamiltonian.first_order_block`.
     Hermitian by construction and correct through second order in the
-    coupling.
+    coupling.  Broadcasts over a stacked partition.
     """
     gen = ph.first_order_block
-    matrix = ph.slow_block + 0.5 * (gen.conj().T @ ph.coupling
-                                    + ph.coupling.conj().T @ gen)
+    matrix = ph.slow_block + 0.5 * (matrixkit._adjoint(gen) @ ph.coupling
+                                    + matrixkit._adjoint(ph.coupling) @ gen)
     return EffectiveOperator(matrix=matrixkit.hermitize(matrix),
                              hermitian=True, source="sw_first")
 
@@ -177,7 +179,8 @@ def _effective_route(method: str, tol: float = 1e-12):
     """``ph -> (operator, embedding)`` for the effective operator ``method``
     names: closed-form ``adiabatic`` or ``sw_first`` (embedding ``None``),
     or the hermitized ``iterate`` (to ``tol``) or ``bloch_order_<k>``.
-    Raises ValueError for an unknown method or order, before any work."""
+    Every route broadcasts over a stacked partition.  Raises ValueError
+    for an unknown method or order, before any work."""
     if method == "adiabatic":
         return lambda ph: (adiabatic_hamiltonian(ph), None)
     if method == "sw_first":

@@ -215,12 +215,14 @@ def test_solve_rejects_unmeetable_iterate_tolerance(tmp_path, capsys, tol):
 
 def test_solve_sw_takes_one_svd(tmp_path, capsys, monkeypatch):
     # The residual is that of the tan block of the first-order generator,
-    # from one SVD; no rotation is built.
+    # from one SVD with vectors; no rotation is built.  Spectral norms take
+    # singular values alone and are not counted.
     model = write_lambda(tmp_path)
     svd, shapes = np.linalg.svd, []
 
     def counted(a, *args, **kw):
-        shapes.append(np.shape(a))
+        if kw.get("compute_uv", True):
+            shapes.append(np.shape(a))
         return svd(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
@@ -363,8 +365,10 @@ def test_solve_sweep_decomposes_the_slow_block_once_per_point(
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(["solve", model, "--method", "adiabatic",
                  "--sweep", "gap:0.8:1.2:10"]) == 0
-    # The effective spectrum per point; the unprinted gap costs none.
-    assert shapes.count((2, 2)) == 10
+    # The effective spectra of every point in one stacked call, none per
+    # point; the unprinted gap costs none.
+    assert shapes.count((10, 2, 2)) == 1
+    assert shapes.count((2, 2)) == 0
 
 
 @pytest.mark.parametrize("write, argv, code, message", [
@@ -381,6 +385,23 @@ def test_sweep_stops_at_the_first_failing_point(tmp_path, capsys, write,
     out = tmp_path / "table.csv"
     assert main(argv + ["--out", str(out)]) == code
     assert not out.exists()
+
+
+def test_sweep_replays_points_to_report_the_first_failure(tmp_path, capsys):
+    # The stacked run stops at a later point (it diverges at sweep 2); the
+    # replay reports the first point's own error, as its single solve does.
+    model = write_lambda(tmp_path)
+    assert main(["solve", model, "--method", "iterate",
+                 "--sweep", "gap:0.2:0.01:8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    single = tmp_path / "single.json"
+    assert main(["export", "--preset", "lambda", "--set", "gap=0.2",
+                 "--out", str(single)]) == 0
+    assert main(["solve", str(single), "--method", "iterate"]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ConvergenceFailure: ")
+    assert captured.err == last + "\n"
 
 
 def test_exit_code_for_unreadable_and_invalid_models(tmp_path, capsys):
@@ -623,7 +644,6 @@ SINGULAR_FAST = [[0.1, 0, 0.05], [0, -0.1, 0.02], [0.05, 0.02, 0]]
 
 @pytest.mark.parametrize("hamiltonian, slow, error", [
     (SINGULAR_FAST, [0, 1], "SingularFastBlock"),
-    ([[0.1, 0.01], [0.01, -0.1]], [0, 1], "EmptyPartition"),
 ])
 def test_simulate_exact_alone_needs_no_partition(tmp_path, capsys,
                                                  hamiltonian, slow, error):
@@ -644,7 +664,7 @@ def test_simulate_exact_alone_needs_no_partition(tmp_path, capsys,
 def test_simulate_exact_alone_still_checks_the_matrix(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"matrix": {
-        "hamiltonian": [[0.1, 0.3], [0.0, -0.1]], "slow_indices": [0, 1]}}))
+        "hamiltonian": [[0.1, 0.3], [0.0, -0.1]], "slow_indices": [0]}}))
     assert main(["simulate", str(model), "--tmax", "1.0"]) == 3
     assert "NotHermitian: hamiltonian" in capsys.readouterr().err
 
@@ -667,16 +687,17 @@ def test_simulate_partitions_once(tmp_path, monkeypatch):
 def test_simulate_iterate_decides_hermiticity_once(tmp_path, capsys,
                                                  monkeypatch):
     # One hermiticity check of the 2x2 generator: its deviation and its
-    # norm, then no further check per time gap.
+    # norm, each one spectral norm (singular values alone), then no further
+    # check per time gap.
     model = write_lambda(tmp_path)
-    norm, shapes = np.linalg.norm, []
+    svd, shapes = np.linalg.svd, []
 
     def counted(a, *args, **kw):
-        if (args[0] if args else kw.get("ord")) == 2:
+        if not kw.get("compute_uv", True):
             shapes.append(np.shape(a))
-        return norm(a, *args, **kw)
+        return svd(a, *args, **kw)
 
-    monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["simulate", model, "--tmax", "40", "--samples", "201",
                  "--generators", "iterate3"]) == 0
     assert shapes.count((2, 2)) == 2
@@ -800,6 +821,43 @@ def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, command,
     assert captured.err == f"error: {message}\n"
 
 
+QUBIT_COMPONENTS = {"-1": [[0, 1], [0, 0]], "1": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("model, argv, code, message", [
+    ({"matrix": {"hamiltonian": [[1, 0, 0], [0, 1, 0]], "slow_indices": [0]}},
+     ["solve"], 2, "hamiltonian must be square, got shape (2, 3)"),
+    ({"matrix": {"hamiltonian": [[1, 0], [0, 2]], "slow_indices": [5]}},
+     ["solve"], 2, "slow index 5 outside matrix of dimension 2"),
+    ({"matrix": {"hamiltonian": [[1, 0], [0, 2]], "slow_indices": [-1]}},
+     ["solve"], 2, "slow index -1 outside matrix of dimension 2"),
+    ({"matrix": {"hamiltonian": [[1, 0], [0, 2]], "slow_indices": [1, 0, 1]}},
+     ["solve"], 2, "slow_indices cover all 2 levels; the fast sector is empty"),
+    ({"matrix": {"hamiltonian": [[0.1, 0.01], [0.01, -0.1]],
+                 "slow_indices": [0, 1]}},
+     ["simulate", "--tmax", "1.0", "--samples", "3"], 2,
+     "slow_indices cover all 2 levels; the fast sector is empty"),
+    ({"floquet": {"dim": 2, "drive_frequency": 10.0,
+                  "components": {**QUBIT_COMPONENTS, "0": [[0.5]]}}},
+     ["floquet"], 2, "component 0 has shape (1, 1), expected (2, 2)"),
+    ({"floquet": {"dim": 2, "drive_frequency": 10.0,
+                  "components": {"1": QUBIT_COMPONENTS["1"]}}},
+     ["floquet"], 3, "NotHermitian: component 1 has no adjoint partner at "
+                     "harmonic -1"),
+], ids=["non-square", "index-out-of-range", "negative-index", "all-slow",
+        "all-slow-simulate", "component-shape", "one-sided-component"])
+def test_model_file_structure_is_checked_at_load(tmp_path, capsys, model,
+                                                 argv, code, message):
+    # Shapes and index ranges are malformed input (exit 2), whatever the
+    # command; a one-sided drive is well formed but not hermitian (exit 3).
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_deeply_nested_model_file_exits_2(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
@@ -873,3 +931,26 @@ def test_subprocess_output_is_deterministic(tmp_path):
             for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.decode().startswith("{\n")
+
+
+def test_cli_paths_never_import_scipy(tmp_path):
+    # scipy.linalg roughly doubles the resident memory of a run; these
+    # commands need numpy alone.
+    lam, dq = write_lambda(tmp_path), write_qubit(tmp_path)
+    script = "\n".join([
+        "import sys",
+        "from effham.cli import main",
+        f"assert main(['solve', {lam!r}, '--method', 'iterate', "
+        "'--sweep', 'rabi_a:0.1:0.4:5']) == 0",
+        f"assert main(['solve', {lam!r}, '--method', 'sw']) == 0",
+        f"assert main(['floquet', {dq!r}, '--methods', "
+        "'monodromy,diag,adiabatic,iterate']) == 0",
+        "assert 'scipy' not in sys.modules, sorted(sys.modules)",
+    ])
+    src = str(Path(effham.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         env=env)
+    assert run.returncode == 0, run.stderr.decode()

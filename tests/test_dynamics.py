@@ -133,20 +133,33 @@ def test_periodic_whole_periods_take_the_nominal_substeps():
 
 
 def _substep_loop(spec, psi, times):
-    """Reference: each gap's midpoint exponentials from one batched eigh,
-    applied to the state one substep at a time."""
-    nominal = spec.period / SUBSTEPS_PER_PERIOD
+    """Reference: the midpoint exponentials of each piece of a gap from one
+    batched eigh, applied to the state one substep at a time.  A gap that
+    holds a whole period is cut at every period boundary inside it."""
+    period = spec.period
+    nominal = period / SUBSTEPS_PER_PERIOD
+
+    def advance(psi, start, stop):
+        if stop - start <= 1e-9 * period:  # a boundary sample: no piece
+            return psi
+        count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
+        h = (stop - start) / count
+        mids = start + (np.arange(count) + 0.5) * h
+        vals, vecs = np.linalg.eigh(spec.hamiltonian_at(mids))
+        for lam, v in zip(vals, vecs):
+            psi = v @ (np.exp(-1j * lam * h) * (v.conj().T @ psi))
+        return psi
+
     out = []
     current = 0.0
     for target in times:
-        gap = target - current
-        if gap > 0.0:
-            count = int(max(1, np.ceil(gap / nominal - 1e-9)))
-            h = gap / count
-            mids = current + (np.arange(count) + 0.5) * h
-            vals, vecs = np.linalg.eigh(spec.hamiltonian_at(mids))
-            for lam, v in zip(vals, vecs):
-                psi = v @ (np.exp(-1j * lam * h) * (v.conj().T @ psi))
+        if target > current:
+            first = np.ceil(current / period - 1e-9)
+            last = np.floor(target / period + 1e-9)
+            inner = np.arange(first, last + 1) * period if last > first else []
+            cuts = [current, *inner, target]
+            for start, stop in zip(cuts[:-1], cuts[1:]):
+                psi = advance(psi, start, stop)
             current = target
         out.append(psi)
     return np.array(out)
@@ -189,6 +202,28 @@ def test_periodic_long_gaps_take_bounded_substep_stacks(monkeypatch):
         monkeypatch.undo()
         assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
         assert max(shapes) == (SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)
+
+
+def test_periodic_off_grid_gaps_reuse_the_period_propagator(monkeypatch):
+    # 0 -> 3.3 T: three periods, then a tail of 77 substeps; 3.3 T -> 40.05 T:
+    # a head of 180 substeps, 36 periods and a tail of 13.  Every whole
+    # period is the one cached U_T.
+    spec = list(drive_ensemble())[2]
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    start = np.zeros(spec.dim, dtype=complex)
+    start[0] = 1.0
+    t = np.array([0.0, 3.3, 40.05]) * spec.period
+    monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
+    series = evolve_periodic(spec, StateVector(start), t)
+    monkeypatch.undo()
+    assert shapes == [SUBSTEPS_PER_PERIOD, 77, 180, 13]
+    ref = _substep_loop(spec, start, t)
+    assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
 
 
 def test_periodic_strobe_decomposes_one_period_once(monkeypatch):
