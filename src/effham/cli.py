@@ -16,12 +16,13 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, matrixkit, partition
-from .bloch import adiabatic_embedding, iterate_bloch
+from .bloch import MAX_SERIES_ORDER, adiabatic_embedding, iterate_bloch
 from .dynamics import StateVector, evolve_constant, evolve_periodic, populations
 from .effective import (
     hermitian_effective,
@@ -55,11 +56,7 @@ class ModelFormatError(ValueError):
 
 def _float_token(x: float) -> str:
     """17 significant digits, ``0`` for either zero, else nan/inf/-inf."""
-    if math.isfinite(x):
-        return format(x, ".17g") if x else "0"
-    if x != x:
-        return "nan"
-    return "inf" if x > 0 else "-inf"
+    return format(x, ".17g") if x else "0"
 
 
 def format_float(x: float) -> str:
@@ -75,17 +72,9 @@ def format_float(x: float) -> str:
 
 
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return format_float(value)
+    return json.dumps(int(value) if isinstance(value, np.integer) else value)
 
 
 def _is_scalar(value) -> bool:
@@ -236,21 +225,16 @@ def lambda_model_dict(params: dict | None = None) -> dict:
         for k, x in values.items()}}
 
 
-def _floquet_dict(dim: int, drive_frequency: float, comps: dict) -> dict:
-    return {"floquet": {"dim": dim, "drive_frequency": drive_frequency,
-                        "components": {str(k): matrix_to_json(comps[k])
-                                       for k in sorted(comps)}}}
-
-
 def driven_qubit_dict(params: dict | None = None) -> dict:
     p = _with_overrides(DRIVEN_QUBIT_DEFAULTS, params, "driven-qubit")
     g = complex(p["coupling"])
     delta = _real_entry(p["detuning"], "detuning")
     omega = _real_entry(p["drive_frequency"], "drive_frequency")
-    return _floquet_dict(2, omega, {
-        -1: [[0.0, g], [0.0, 0.0]],
-        0: [[0.5 * delta, 0.0], [0.0, -0.5 * delta]],
-        1: [[0.0, 0.0], [np.conj(g), 0.0]]})
+    comps = {-1: [[0.0, g], [0.0, 0.0]],
+             0: [[0.5 * delta, 0.0], [0.0, -0.5 * delta]],
+             1: [[0.0, 0.0], [np.conj(g), 0.0]]}
+    return {"floquet": {"dim": 2, "drive_frequency": omega, "components": {
+        str(k): matrix_to_json(m) for k, m in comps.items()}}}
 
 
 def _parse_lambda(payload: dict) -> Model:
@@ -321,20 +305,19 @@ def _parse_floquet(payload: dict) -> Model:
                  labels=tuple(f"c{i}" for i in range(dim)))
 
 
+MODEL_KINDS = {"matrix": _parse_matrix_model, "lambda_system": _parse_lambda,
+               "floquet": _parse_floquet}
+
+
 def model_from_dict(data) -> Model:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must hold a JSON object")
-    present = [k for k in ("matrix", "lambda_system", "floquet") if k in data]
+    present = [k for k in MODEL_KINDS if k in data]
     if len(present) != 1:
         raise ModelFormatError(
-            f"model must contain exactly one of matrix, lambda_system, "
-            f"floquet; found {present or 'none'}")
-    kind = present[0]
-    if kind == "matrix":
-        return _parse_matrix_model(data[kind])
-    if kind == "lambda_system":
-        return _parse_lambda(data[kind])
-    return _parse_floquet(data[kind])
+            f"model must contain exactly one of {', '.join(MODEL_KINDS)}; "
+            f"found {present or 'none'}")
+    return MODEL_KINDS[present[0]](data[present[0]])
 
 
 def load_model(path: str) -> Model:
@@ -348,18 +331,6 @@ def load_model(path: str) -> Model:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     except (OverflowError, RecursionError) as exc:  # huge integer, deep nesting
         raise ModelFormatError(f"model file exceeds a limit: {exc}") from None
-
-
-def model_to_dict(model: Model) -> dict:
-    if model.kind == "matrix":
-        return {"matrix": {
-            "hamiltonian": matrix_to_json(model.hamiltonian),
-            "slow_indices": [int(i) for i in model.slow_indices],
-        }}
-    if model.kind == "lambda_system":
-        return lambda_model_dict(model.params)
-    spec = model.floquet
-    return _floquet_dict(spec.dim, spec.drive_frequency, spec.components)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +523,11 @@ def _generator(ph, token: str) -> np.ndarray:
         return _effective_route(_route_name(token))(ph)[0].matrix
     if token == "second":
         return second_order_hamiltonian(ph).matrix
-    be = iterate_bloch(ph, tol=0.0, max_iter=int(match[2] or match[3]),
-                       require_convergence=False)
+    depth = int(match[2] or match[3])
+    if depth > MAX_SERIES_ORDER:
+        raise ModelFormatError(
+            f"generator depth must be <= {MAX_SERIES_ORDER}, got {depth}")
+    be = iterate_bloch(ph, tol=0.0, max_iter=depth, require_convergence=False)
     effective = (nonhermitian_effective if token.startswith("iterate")
                  else hermitian_effective)
     return effective(ph, be).matrix
@@ -724,6 +698,7 @@ def cmd_export(args) -> int:
 # entry point
 
 
+@cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effham",
@@ -786,8 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, MemoryError) as exc:  # bad input, unallocatable size

@@ -4,11 +4,12 @@ Constant generators are evolved exactly (hermitian ones through a single
 eigendecomposition, general ones through one scaling-and-squaring
 exponential per distinct time gap); periodic generators are evolved with
 ``SUBSTEPS_PER_PERIOD`` midpoint-sampled piecewise-constant steps per
-period, and every whole period between samples reuses one cached
-one-period propagator.  The analysis helpers extract component
-populations, remove fast ripple with a moving average, and estimate the
-secular time shift between two slowly oscillating signals by pairing
-their interior maxima.
+period, and the whole periods between samples are a power, taken by
+repeated squaring, of one cached one-period propagator projected onto
+the nearest unitary.  The analysis helpers extract component populations,
+remove fast ripple with a moving average, and estimate the secular time
+shift between two slowly oscillating signals by pairing their interior
+maxima.
 """
 from __future__ import annotations
 
@@ -169,14 +170,16 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
     ``SUBSTEPS_PER_PERIOD`` substeps per drive period; sample times must be
-    non-negative and non-decreasing.  Whole periods are advanced by
-    ``U_T``, built once from exactly ``SUBSTEPS_PER_PERIOD`` substeps: a
-    gap of ``m`` whole periods between period boundaries by ``U_T^m``, and
-    a gap that holds whole periods but starts or ends off the period grid
-    by its own substeps up to the first boundary (the head), ``U_T^m``,
-    then its own substeps from the last boundary (the tail).  A gap inside
-    one period takes its own substeps.  Raises :class:`NonUnitaryStep` if
-    the state norm drifts from its initial value by more than 1e-8.
+    non-negative, non-decreasing and a finite number of drive periods
+    (ValueError otherwise).  Whole periods are advanced by ``U_T``, the
+    nearest unitary to the propagator built once from exactly
+    ``SUBSTEPS_PER_PERIOD`` substeps: a gap holding ``m`` whole periods
+    takes its own substeps up to the first period boundary (the head, none
+    from a boundary), ``U_T^m`` by repeated squaring, then its own
+    substeps from the last boundary (the tail, none to a boundary).  A gap
+    inside one period takes its own substeps.  Raises
+    :class:`NonUnitaryStep` if the state norm drifts from its initial value
+    by more than 1e-8 or stops being finite.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
@@ -186,7 +189,10 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
         raise ValueError("sample times must be non-negative and non-decreasing")
     period = spec.period
     nominal = period / SUBSTEPS_PER_PERIOD
-    phase = t / period
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        phase = t / period
+    if not np.isfinite(phase[-1]):
+        raise ValueError("sample times hold more drive periods than a float")
     on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
     psi = state.amplitudes.copy()
     norm0 = float(np.linalg.norm(psi))
@@ -198,26 +204,20 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     def periods(psi: np.ndarray, m: int) -> np.ndarray:
         nonlocal u_period
         if u_period is None:
-            u_period = _propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD)
-        for _ in range(m):
-            psi = u_period @ psi
-        return psi
+            w, _, vh = np.linalg.svd(
+                _propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD))
+            u_period = w @ vh
+        return np.linalg.matrix_power(u_period, m) @ psi
 
     current, from_boundary = 0.0, True
     for i, target in enumerate(t):
-        gap = target - current
-        if gap > 0.0:
-            # A whole period keeps SUBSTEPS_PER_PERIOD despite rounding.
-            count = int(max(1, np.ceil(gap / nominal - 1e-9)))
-            whole, rest = divmod(count, SUBSTEPS_PER_PERIOD)
+        if target > current:
             # Indices of the first and last period boundary inside the gap.
             first = (round(current / period) if from_boundary
                      else int(np.ceil(current / period)))
             last = (round(target / period) if on_boundary[i]
                     else int(np.floor(target / period)))
-            if rest == 0 and from_boundary and on_boundary[i]:
-                psi = periods(psi, whole)
-            elif last > first:
+            if last > first:
                 if not from_boundary:
                     psi = _substeps(spec, psi, current, first * period, nominal)
                 psi = periods(psi, last - first)
@@ -228,7 +228,7 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
             current, from_boundary = target, on_boundary[i]
         amps[i] = psi
         drift = abs(float(np.linalg.norm(psi)) / norm0 - 1.0)
-        if drift > 1e-8:
+        if not drift <= 1e-8:
             raise NonUnitaryStep(
                 f"norm drifted by {drift:.3e} at t = {target:g}")
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,

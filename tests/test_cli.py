@@ -16,11 +16,10 @@ from effham import __version__, partition_hamiltonian
 from effham.bloch import adiabatic_embedding, iterate_bloch, perturbative_bloch
 from effham.cli import (
     _fmt_cell,
-    dumps_json,
+    build_parser,
     format_float,
     load_model,
     main,
-    model_to_dict,
     parse_complex_entry,
 )
 from effham.effective import adiabatic_hamiltonian, hermitian_effective
@@ -89,20 +88,6 @@ def test_parse_complex_entry_forms():
         parse_complex_entry("2")
     with pytest.raises(ValueError):
         parse_complex_entry([1.0, 2.0, 3.0])
-
-
-def test_export_round_trip_is_byte_identical(tmp_path):
-    path = write_lambda(tmp_path)
-    text = Path(path).read_text()
-    rebuilt = dumps_json(model_to_dict(load_model(path))) + "\n"
-    assert rebuilt == text
-
-
-def test_export_qubit_round_trip(tmp_path):
-    path = write_qubit(tmp_path, detuning=0.5)
-    text = Path(path).read_text()
-    rebuilt = dumps_json(model_to_dict(load_model(path))) + "\n"
-    assert rebuilt == text
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -684,6 +669,37 @@ def test_simulate_partitions_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_caps_the_generator_depth(tmp_path, capsys):
+    model = write_lambda(tmp_path)
+    prefix = tmp_path / "run"
+    for token, depth in (("iterate65", 65), ("herm65", 65),
+                         ("iterate99999999", 99999999)):
+        assert main(["simulate", model, "--tmax", "10", "--samples", "3",
+                     "--generators", f"exact,{token}",
+                     "--out", str(prefix)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: generator depth must be <= 64, got {depth}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lambda.json"]
+    assert main(["simulate", model, "--tmax", "10", "--samples", "3",
+                 "--generators", "iterate64,herm64"]) == 0
+
+
+def test_simulate_long_periodic_run_keeps_the_norm(tmp_path, capsys):
+    # 1.6e6 whole periods in one gap: the powers of a one-period propagator
+    # that is unitary only to rounding once drifted past the 1e-8 guard.
+    model = write_qubit(tmp_path)
+    assert main(["simulate", model, "--tmax", "1e6", "--samples", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[0] == "1000000"
+    assert abs(float(last[-1]) - 1.0) <= 1e-8
+    assert main(["simulate", model, "--tmax", "1.7e308", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: sample times hold more drive periods than a float\n")
+
+
 def test_simulate_iterate_decides_hermiticity_once(tmp_path, capsys,
                                                  monkeypatch):
     # One hermiticity check of the 2x2 generator: its deviation and its
@@ -918,24 +934,39 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-def test_subprocess_output_is_deterministic(tmp_path):
-    model = write_lambda(tmp_path)
-    cmd = [sys.executable, "-m", "effham.cli", "solve", model,
-           "--method", "iterate"]
-    # The child imports the same effham as this process, installed or not.
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    script = ("import effham.cli\n"
+              "assert effham.cli.build_parser.cache_info().currsize == 0")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         env=_child_env())
+    assert run.returncode == 0, run.stderr.decode()
+
+
+def _child_env() -> dict:
+    """Environment in which a child interpreter imports the same effham as
+    this process, installed or not."""
     src = str(Path(effham.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env)
-            for _ in range(2)]
+    return env
+
+
+def test_subprocess_output_is_deterministic(tmp_path):
+    model = write_lambda(tmp_path)
+    cmd = [sys.executable, "-m", "effham.cli", "solve", model,
+           "--method", "iterate"]
+    runs = [subprocess.run(cmd, capture_output=True, check=True,
+                           env=_child_env()) for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.decode().startswith("{\n")
 
 
 def test_cli_paths_never_import_scipy(tmp_path):
     # scipy.linalg roughly doubles the resident memory of a run; these
-    # commands need numpy alone.
+    # commands need numpy alone.  (A non-hermitian generator such as
+    # iterate<k> does need it, for its matrix exponential.)
     lam, dq = write_lambda(tmp_path), write_qubit(tmp_path)
     script = "\n".join([
         "import sys",
@@ -945,12 +976,11 @@ def test_cli_paths_never_import_scipy(tmp_path):
         f"assert main(['solve', {lam!r}, '--method', 'sw']) == 0",
         f"assert main(['floquet', {dq!r}, '--methods', "
         "'monodromy,diag,adiabatic,iterate']) == 0",
+        f"assert main(['simulate', {lam!r}, '--tmax', '100', '--samples', "
+        "'201', '--generators', 'exact,adiabatic,second,sw,herm3', "
+        f"'--out', {str(tmp_path / 'run')!r}]) == 0",
         "assert 'scipy' not in sys.modules, sorted(sys.modules)",
     ])
-    src = str(Path(effham.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         env=env)
+                         env=_child_env())
     assert run.returncode == 0, run.stderr.decode()
