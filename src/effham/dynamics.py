@@ -170,8 +170,9 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
 
     Uses midpoint-sampled piecewise-constant exponentials with at least
     ``SUBSTEPS_PER_PERIOD`` substeps per drive period; sample times must be
-    non-negative, non-decreasing and a finite number of drive periods
-    (ValueError otherwise).  Whole periods are advanced by ``U_T``, the
+    non-negative, non-decreasing and at most ``2**53`` drive periods, past
+    which a float no longer resolves the phase within a period (ValueError
+    otherwise).  Whole periods are advanced by ``U_T``, the
     nearest unitary to the propagator built once from exactly
     ``SUBSTEPS_PER_PERIOD`` substeps: a gap holding ``m`` whole periods
     takes its own substeps up to the first period boundary (the head, none
@@ -191,7 +192,7 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     nominal = period / SUBSTEPS_PER_PERIOD
     with np.errstate(over="ignore"):  # an overflow is reported just below
         phase = t / period
-    if not np.isfinite(phase[-1]):
+    if not phase[-1] <= 2.0 ** 53:  # also catches the overflow to inf
         raise ValueError("sample times hold more drive periods than a float")
     on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
     psi = state.amplitudes.copy()

@@ -47,8 +47,10 @@ __all__ = [
 
 # Smallest zero-harmonic weight gap at which quasi_energies_diag picks states.
 ZERO_HARMONIC_WEIGHT_GAP = 1e-6
-# The automatic cutoff doubles until the folded values move at most
-# CUTOFF_TARGET, and gives up past CUTOFF_CAP.
+# The automatic cutoff doubles until a method's folded values move at most
+# CUTOFF_TARGET between two cutoffs, or for diag sooner, once its truncation
+# certificate (_truncation_bound) is at most CUTOFF_TARGET; it gives up past
+# CUTOFF_CAP.
 CUTOFF_TARGET = 1e-10
 CUTOFF_CAP = 256
 
@@ -164,7 +166,9 @@ class TruncatedFloquetOperator:
 @dataclass(frozen=True)
 class QuasiEnergySet:
     """Quasi-energies folded into ``(-w/2, w/2]`` and sorted ascending;
-    the monodromy method records its ``steps`` and ``unitarity_defect``."""
+    the monodromy method records its ``steps`` and ``unitarity_defect``,
+    the ladder methods their ``cutoff``, and ``diag`` its
+    ``truncation_bound`` at that cutoff (inf where uncertified)."""
 
     values: np.ndarray
     method: str
@@ -172,6 +176,7 @@ class QuasiEnergySet:
     cutoff: int | None = None
     steps: int | None = None
     unitarity_defect: float | None = None
+    truncation_bound: float | None = None
 
 
 def build_floquet(spec: FloquetSpec,
@@ -335,21 +340,76 @@ def quasi_energies_monodromy(spec: FloquetSpec,
                           drive_frequency=spec.drive_frequency, **report)
 
 
-def _diag_energies(tfo: TruncatedFloquetOperator) -> np.ndarray:
-    """Ladder eigenvalues of largest zero-harmonic weight, one per state."""
+def _truncation_bound(spec: FloquetSpec, tfo: TruncatedFloquetOperator,
+                      values: np.ndarray, vectors: np.ndarray) -> float:
+    """Largest bound on the distance from a picked ladder eigenvalue to the
+    exact quasi-energy it stands for; inf unless every pair is certified.
+
+    Extend the eigenpair ``(mu_i, v_i)`` of the ladder truncated at ``N`` by
+    zero to the infinite ladder, whose spectrum is ``{e_j + m w}`` over the
+    ``d`` exact quasi-energies ``e_j`` and all integers ``m``.  Inside the
+    cutoff ``(H - mu_i) v_i`` vanishes, so its norm is the leakage
+
+        r_i = || sum_k H_k v_{i,m} ||  over harmonics |m + k| > N,
+
+    fed only by the ``K`` edge blocks at each end (``K`` the highest
+    harmonic), and ``mu_i`` is still the Rayleigh quotient of ``v_i``.
+    Each interval ``mu_j +- r_j`` then holds a point of the spectrum.  With
+    ``|x|_w`` the distance from ``x`` to the nearest multiple of ``w``, let
+
+        eta_i = min(w - r_i, min_{j != i} (|mu_i - mu_j|_w - r_j)).
+
+    If ``eta_i > r_i`` for every ``i``, the ``d`` intervals are disjoint
+    modulo ``w``, so each holds exactly one of the ``d`` quasi-energies per
+    period: the picked values stand for distinct quasi-energies, and every
+    point of the spectrum but the one within ``r_i`` of ``mu_i`` lies at
+    least ``eta_i`` away.  The Kato-Temple inequality (Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 10) then bounds the error of
+    ``mu_i`` by ``r_i^2 / eta_i``.  An exact eigenvector (``r_i = 0``) has
+    error 0 whatever its gap.  Rounding in the eigensolver is not counted.
+    """
+    n, k_max = tfo.cutoff, spec.max_harmonic
+    blocks = vectors.reshape(2 * n + 1, tfo.dim, -1)  # blocks[m + N] = v_m
+    leak2 = 0.0
+    # Edge blocks ordered inwards-out: v_{s(N-K+1)} .. v_{sN} for side s.
+    edges = ((1, blocks[2 * n + 1 - k_max:]), (-1, blocks[k_max - 1::-1]))
+    for side, edge in edges:
+        beyond = np.zeros_like(edge)  # harmonics s(N+1) .. s(N+K)
+        for k in range(1, k_max + 1):
+            beyond[:k] += spec.component(side * k) @ edge[k_max - k:]
+        leak2 = leak2 + np.sum(np.abs(beyond) ** 2, axis=(0, 1))
+    r = np.sqrt(leak2)
+    w = tfo.drive_frequency
+    diff = values[:, None] - values[None, :]
+    gaps = np.abs(diff - w * np.round(diff / w)) - r[None, :]
+    np.fill_diagonal(gaps, w - r)
+    eta = gaps.min(axis=1)
+    live = r > 0.0
+    if np.any(eta[live] <= r[live]):
+        return np.inf
+    return float(np.max(r[live] ** 2 / eta[live], initial=0.0))
+
+
+def _diag_energies(spec: FloquetSpec,
+                   tfo: TruncatedFloquetOperator) -> tuple[np.ndarray, float]:
+    """Ladder eigenvalues of largest zero-harmonic weight, one per state,
+    and their :func:`_truncation_bound`."""
     ed = matrixkit.hermitian_eig(tfo.matrix)
     rows = np.asarray(tfo.zero_harmonic_indices)
-    return ed.values[matrixkit._heaviest_columns(
-        ed.vectors[rows, :], tfo.dim, ZERO_HARMONIC_WEIGHT_GAP, "zero-harmonic")]
+    picked = matrixkit._heaviest_columns(
+        ed.vectors[rows, :], tfo.dim, ZERO_HARMONIC_WEIGHT_GAP, "zero-harmonic")
+    values = ed.values[picked]
+    return values, _truncation_bound(spec, tfo, values, ed.vectors[:, picked])
 
 
 def _ladder_quasi_energies(spec: FloquetSpec, methods,
                            cutoff: int | None = None) -> dict:
-    """``{method: (values, cutoff)}`` for ``diag`` and effective method
-    names, all checked before any ladder.  Each cutoff builds one ladder
-    for the unfinished methods, in order, partitions it at most once and
-    releases it once no ``diag`` is left to read it; each method stops at
-    its own cutoff, as in :func:`quasi_energies_diag`."""
+    """``{method: (values, cutoff, truncation_bound)}`` for ``diag`` and
+    effective method names, all checked before any ladder; the bound is
+    None for effective methods.  Each cutoff builds one ladder for the
+    unfinished methods, in order, partitions it at most once and releases
+    it once no ``diag`` is left to read it; each method stops at its own
+    cutoff, as in :func:`quasi_energies_diag`."""
     routes = {m: None if m == "diag" else _effective_route(m) for m in methods}
     n = max(4, 2 * spec.max_harmonic) if cutoff is None else cutoff
     done, prev = {}, {}
@@ -357,9 +417,9 @@ def _ladder_quasi_energies(spec: FloquetSpec, methods,
         tfo, ph = build_floquet(spec, n), None
         todo = [m for m in routes if m not in done]
         for i, method in enumerate(todo):
-            route = routes[method]
+            route, bound = routes[method], None
             if route is None:
-                energies = _diag_energies(tfo)
+                energies, bound = _diag_energies(spec, tfo)
             else:
                 if ph is None:
                     ph = floquet_partition(tfo)
@@ -367,9 +427,11 @@ def _ladder_quasi_energies(spec: FloquetSpec, methods,
                         tfo = None  # no diag left to read the dense ladder
                 energies = route(ph)[0].spectrum()
             values = np.sort(fold_quasienergy(energies, spec.drive_frequency))
-            if cutoff is not None or (method in prev and float(
-                    np.max(np.abs(values - prev[method]))) <= CUTOFF_TARGET):
-                done[method] = (values, n)
+            if (cutoff is not None
+                    or (bound is not None and bound <= CUTOFF_TARGET)
+                    or (method in prev and float(np.max(np.abs(
+                        values - prev[method]))) <= CUTOFF_TARGET)):
+                done[method] = (values, n, bound)
             elif 2 * n > CUTOFF_CAP:
                 raise ConvergenceFailure("quasi-energies still moving at "
                                          f"harmonic cutoff {CUTOFF_CAP}")
@@ -385,14 +447,20 @@ def quasi_energies_diag(spec: FloquetSpec,
 
     One eigenvalue is kept per system state, chosen by largest
     zero-harmonic weight (:class:`OracleAmbiguous` if the weight gap is
-    below ``ZERO_HARMONIC_WEIGHT_GAP``).  With ``cutoff=None`` the cutoff
-    is doubled until the folded values settle to ``CUTOFF_TARGET``
-    (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).  This is the ladder
-    loop of every Floquet method, run for ``diag`` alone (no partition).
+    below ``ZERO_HARMONIC_WEIGHT_GAP``), and ``truncation_bound`` records
+    the largest Kato-Temple bound on their distance from the exact
+    quasi-energies, read off the eigenvectors' edge blocks
+    (:func:`_truncation_bound`).  With ``cutoff=None`` the cutoff doubles
+    until that bound is at most ``CUTOFF_TARGET`` or the folded values move
+    at most ``CUTOFF_TARGET`` from the previous cutoff, whichever comes
+    first (:class:`ConvergenceFailure` at ``CUTOFF_CAP``).  This is the
+    ladder loop of every Floquet method, run for ``diag`` alone (no
+    partition).
     """
-    values, used = _ladder_quasi_energies(spec, ["diag"], cutoff)["diag"]
+    values, used, bound = _ladder_quasi_energies(spec, ["diag"], cutoff)["diag"]
     return QuasiEnergySet(values=values, method="floquet_diag",
-                          drive_frequency=spec.drive_frequency, cutoff=used)
+                          drive_frequency=spec.drive_frequency, cutoff=used,
+                          truncation_bound=bound)
 
 
 def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
@@ -404,10 +472,11 @@ def quasi_energies_effective(spec: FloquetSpec, method: str = "adiabatic", *,
     or ``bloch_order_<k>`` (series through order ``k``, from 1 to
     ``bloch.MAX_SERIES_ORDER``); any other name raises ValueError before a
     ladder is built.  The ladder loop of :func:`quasi_energies_diag` runs
-    for this one method.
+    for this one method and stops only when two cutoffs agree: an effective
+    spectrum is not an exact one, so no truncation certificate is taken.
     """
     _effective_route(method)  # also rejects "diag", which only the loop takes
-    values, used = _ladder_quasi_energies(spec, [method], cutoff)[method]
+    values, used, _ = _ladder_quasi_energies(spec, [method], cutoff)[method]
     return QuasiEnergySet(values=values, method=f"effective_{method}",
                           drive_frequency=spec.drive_frequency, cutoff=used)
 

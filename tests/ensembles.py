@@ -121,3 +121,23 @@ def drive_ensemble():
                 comps[k], comps[-k] = c, c.conj().T
             yield FloquetSpec(dim=d, drive_frequency=float(rng.uniform(7.0, 18.0)),
                               components=comps)
+
+
+def drive_class_ensemble():
+    """Seeded periodic drives shaped like the floquet-drive benchmark's
+    classes, two of each: d = 2 with one harmonic of norm 1 at drive
+    frequencies in [10, 12]; d = 4 with two harmonics (norms 1.5 and 0.75)
+    in [7, 9]; d = 8 with two harmonics (norms 2 and 1) in [14, 18]; the
+    static part has norm 1."""
+    rng = np.random.default_rng(89)
+    for d, harmonics, (lo, hi), norm in ((2, 1, (10.0, 12.0), 1.0),
+                                         (4, 2, (7.0, 9.0), 1.5),
+                                         (8, 2, (14.0, 18.0), 2.0)):
+        for _ in range(2):
+            comps = {0: random_hermitian(rng, d)}
+            for k in range(1, harmonics + 1):
+                c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                comps[k] = c * (norm / (k * np.linalg.norm(c, 2)))
+                comps[-k] = comps[k].conj().T
+            yield FloquetSpec(dim=d, drive_frequency=float(rng.uniform(lo, hi)),
+                              components=comps)

@@ -261,6 +261,10 @@ def test_periodic_time_validation():
         evolve_periodic(spec, state, [1.0, 0.5])
     with pytest.raises(ShapeMismatch):
         evolve_periodic(spec, StateVector(np.array([1.0, 0.0, 0.0])), [0.0])
+    # Past 2**53 periods a float cannot place a time within its period.
+    for periods in (2.0 ** 54, 1e299, 1e308):
+        with pytest.raises(ValueError, match="more drive periods than a float"):
+            evolve_periodic(spec, state, [0.0, periods * spec.period])
 
 
 def test_populations_selects_components():

@@ -41,7 +41,8 @@ from effham.schriefferwolff import (
     first_order_generator,
     sw_first_order_hamiltonian,
 )
-from ensembles import antihermitian_shift, drive_ensemble, random_hermitian
+from ensembles import (antihermitian_shift, drive_class_ensemble, drive_ensemble,
+                       random_hermitian)
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -276,8 +277,12 @@ def test_diag_exact_at_minimal_cutoff_for_single_harmonic():
 def test_diag_auto_cutoff_settles():
     q = quasi_energies_diag(resonant_spec())
     assert q.method == "floquet_diag"
-    assert q.cutoff == 8
+    # Certified at the first ladder: the rotating-wave ladder splits into
+    # 2x2 blocks, so the picked eigenvectors leak nothing past cutoff 4.
+    assert q.cutoff == 4 and q.truncation_bound <= CUTOFF_TARGET
     assert np.max(np.abs(q.values - [-RESONANT_EXACT, RESONANT_EXACT])) < 1e-12
+    assert quasi_energies_effective(resonant_spec()).truncation_bound is None
+    assert quasi_energies_monodromy(resonant_spec()).truncation_bound is None
 
 
 def test_two_harmonic_cutoff_doubling_converges():
@@ -370,33 +375,72 @@ ROUTES = {
 }
 
 
-def _oracle(spec: FloquetSpec, method: str, cutoff: int) -> np.ndarray:
-    """One method at one cutoff on a ladder of its own, spelled out."""
+def _oracle(spec: FloquetSpec, method: str, cutoff: int):
+    """One method at one cutoff on a ladder of its own, spelled out:
+    ``(values, truncation bound)``, the bound None for an effective method."""
     tfo = build_floquet(spec, cutoff)
     if method == "diag":
-        values, vectors = np.linalg.eigh(tfo.matrix)
-        rows = vectors[list(tfo.zero_harmonic_indices)]
-        weights = np.sum(np.abs(rows) ** 2, axis=0)
-        order = np.argsort(weights)[::-1]
-        d = spec.dim
-        if weights[order[d - 1]] - weights[order[d]] < ZERO_HARMONIC_WEIGHT_GAP:
-            raise OracleAmbiguous("zero-harmonic weights tie")
-        energies = values[np.sort(order[:d])]
+        energies, vectors = _oracle_pick(tfo)
+        bound = _oracle_bound(spec, cutoff, energies, vectors)
     else:
         # eigh, not eigvalsh: the two LAPACK drivers differ in the last bits.
         energies = np.linalg.eigh(ROUTES[method](floquet_partition(tfo)).matrix)[0]
-    return np.sort(fold_quasienergy(energies, spec.drive_frequency))
+        bound = None
+    return np.sort(fold_quasienergy(energies, spec.drive_frequency)), bound
 
 
-def _oracle_auto(spec: FloquetSpec, method: str):
+def _oracle_pick(tfo):
+    """Ladder eigenpairs of largest zero-harmonic weight, one per state."""
+    values, vectors = np.linalg.eigh(tfo.matrix)
+    rows = vectors[list(tfo.zero_harmonic_indices)]
+    weights = np.sum(np.abs(rows) ** 2, axis=0)
+    order = np.argsort(weights)[::-1]
+    d = tfo.dim
+    if weights[order[d - 1]] - weights[order[d]] < ZERO_HARMONIC_WEIGHT_GAP:
+        raise OracleAmbiguous("zero-harmonic weights tie")
+    picked = np.sort(order[:d])
+    return values[picked], vectors[:, picked]
+
+
+def _oracle_bound(spec: FloquetSpec, cutoff: int, mus, vectors) -> float:
+    """Largest Kato-Temple truncation bound of the picked ladder eigenpairs,
+    one harmonic and one pair at a time: leakage ``r`` past the cutoff,
+    gap ``eta`` to the rest of the Floquet spectrum, ``r^2 / eta``."""
+    d, w, top = spec.dim, spec.drive_frequency, spec.max_harmonic
+    leaks = []
+    for v in vectors.T:
+        total = 0.0
+        for t in [*range(-cutoff - top, -cutoff), *range(cutoff + 1, cutoff + top + 1)]:
+            out = np.zeros(d, dtype=complex)
+            for m in range(-cutoff, cutoff + 1):
+                block = v[(m + cutoff) * d:(m + cutoff + 1) * d]
+                out += spec.component(t - m) @ block
+            total += float(np.vdot(out, out).real)
+        leaks.append(np.sqrt(total))
+    bounds = []
+    for i, (mu, r) in enumerate(zip(mus, leaks)):
+        eta = w - r
+        for j, (nu, r_other) in enumerate(zip(mus, leaks)):
+            if j != i:
+                x = (mu - nu) % w
+                eta = min(eta, min(x, w - x) - r_other)
+        bounds.append(0.0 if r == 0.0 else r * r / eta if eta > r else np.inf)
+    return max(bounds)
+
+
+def _oracle_auto(spec: FloquetSpec, method: str, certified: bool = True):
     """``(values, cutoff)`` of the doubling cutoff, or ``(exception type,
-    cutoff)`` where the method failed."""
+    cutoff)`` where the method failed.  The loop stops when two cutoffs
+    agree to ``CUTOFF_TARGET`` or, with ``certified``, when the truncation
+    bound is at most ``CUTOFF_TARGET``."""
     n, prev = max(4, 2 * spec.max_harmonic), None
     while n <= CUTOFF_CAP:
         try:
-            cur = _oracle(spec, method, n)
+            cur, bound = _oracle(spec, method, n)
         except ToolkitError as exc:
             return type(exc), n
+        if certified and bound is not None and bound <= CUTOFF_TARGET:
+            return cur, n
         if prev is not None and np.max(np.abs(cur - prev)) <= CUTOFF_TARGET:
             return cur, n
         prev, n = cur, 2 * n
@@ -431,6 +475,7 @@ def test_ladder_loop_matches_single_method_oracle(spec):
         else:
             q = single()
             assert q.cutoff == n and np.array_equal(q.values, result)
+            assert (q.truncation_bound is None) == (method != "diag")
 
 
 def test_diag_alone_never_partitions(monkeypatch):
@@ -443,7 +488,45 @@ def test_diag_alone_never_partitions(monkeypatch):
     # so elimination is singular while direct diagonalization is not.
     monkeypatch.setattr(effham.floquet, "floquet_partition", no_partition)
     q = quasi_energies_diag(resonant_spec(g=0.0, delta=20.0))
-    assert np.array_equal(q.values, [0.0, 0.0]) and q.cutoff == 8
+    assert np.array_equal(q.values, [0.0, 0.0]) and q.cutoff == 4
+    # No drive, no leakage: the certificate is zero although the two
+    # quasi-energies coincide and leave no gap.
+    assert q.truncation_bound == 0.0
+
+
+CERT_SPECS = [*drive_ensemble(), *drive_class_ensemble()]
+
+
+def _reference_values(spec: FloquetSpec, cutoff: int = 64) -> np.ndarray:
+    """Quasi-energies at ``cutoff`` as Rayleigh quotients of the picked
+    eigenvectors: the eigenvalues themselves carry rounding of order
+    eps * ||ladder|| (about 1e-13 at cutoff 64), the quotients only of the
+    blocks near the zero harmonic, where the eigenvectors' weight sits."""
+    tfo = build_floquet(spec, cutoff)
+    picked = _oracle_pick(tfo)[1]
+    quotients = np.einsum("ij,ij->j", picked.conj(), tfo.matrix @ picked).real
+    return np.sort(fold_quasienergy(quotients, spec.drive_frequency))
+
+
+@pytest.mark.parametrize("spec", CERT_SPECS,
+                         ids=[f"spec{i}" for i in range(len(CERT_SPECS))])
+def test_truncation_bound_holds_and_never_lengthens_the_ladder(spec):
+    q = quasi_energies_diag(spec)
+    agreed, agreed_cutoff = _oracle_auto(spec, "diag", certified=False)
+    assert q.cutoff <= agreed_cutoff
+    assert np.max(np.abs(q.values - agreed)) <= CUTOFF_TARGET
+    assert q.truncation_bound <= CUTOFF_TARGET or q.cutoff == agreed_cutoff
+    # The bound covers truncation alone; the eigensolver adds rounding of a
+    # few eps * ||ladder||, allowed for here.  Below the reported cutoff the
+    # truncation error dominates, so those cutoffs test the bound itself.
+    ref = _reference_values(spec)
+    eps = np.finfo(float).eps
+    for n in range(spec.max_harmonic, q.cutoff + 1):
+        at_n = q if n == q.cutoff else quasi_energies_diag(spec, cutoff=n)
+        oracle = _oracle(spec, "diag", n)[1]
+        assert at_n.truncation_bound == pytest.approx(oracle, rel=1e-8)
+        rounding = 8.0 * eps * np.linalg.norm(build_floquet(spec, n).matrix, 2)
+        assert np.max(np.abs(at_n.values - ref)) <= at_n.truncation_bound + rounding
 
 
 def test_restricted_series_leading_term():
