@@ -366,7 +366,13 @@ def _truncation_bound(spec: FloquetSpec, tfo: TruncatedFloquetOperator,
     least ``eta_i`` away.  The Kato-Temple inequality (Parlett, *The
     Symmetric Eigenvalue Problem*, ch. 10) then bounds the error of
     ``mu_i`` by ``r_i^2 / eta_i``.  An exact eigenvector (``r_i = 0``) has
-    error 0 whatever its gap.  Rounding in the eigensolver is not counted.
+    error 0 whatever its gap, so the check ``eta_i > r_i`` runs over the
+    pairs with ``r_i > 0`` only.  The counting above still holds: exact
+    values that coincide modulo ``w`` are points of the spectrum counted
+    by multiplicity, one per picked eigenvector, as those are orthonormal;
+    the undriven ladder, whose picked pairs are all exact, is certified
+    with bound 0 even where its quasi-energies are degenerate.  Rounding
+    in the eigensolver is not counted.
     """
     n, k_max = tfo.cutoff, spec.max_harmonic
     blocks = vectors.reshape(2 * n + 1, tfo.dim, -1)  # blocks[m + N] = v_m

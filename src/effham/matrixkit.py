@@ -107,20 +107,11 @@ def _hermiticity_excess(a: np.ndarray, tol: float,
                         residual: np.ndarray | None = None):
     """``(||residual||, max(1, ||a||))`` of the first matrix of ``a`` whose
     first entry exceeds ``tol`` times the second, else None.  ``residual``
-    defaults to ``a - a^dagger``.  An exact zero costs no norm, and every
-    matrix is accepted without an SVD when ``||residual||_F <= tol * max(1,
-    c)``, ``c`` the largest column norm of ``a``: ``||residual|| <=
-    ||residual||_F`` and ``c <= ||a||``, so the exact norms would accept
-    too.  Otherwise they decide, ``||a||`` taken only past ``tol``."""
-    a = np.asarray(a, dtype=complex)
+    defaults to ``a - a^dagger``; an exact zero costs no SVD, and ``||a||``
+    is taken only past ``tol``."""
     if residual is None:
+        a = np.asarray(a, dtype=complex)
         residual = a - _adjoint(a)
-    if not residual.any():
-        return None
-    columns = np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
-    frobenius = np.linalg.norm(residual, axis=(-2, -1))
-    if (frobenius <= tol * np.fmax(1.0, columns)).all():
-        return None
     dev = np.asarray(spectral_norm(residual))
     if not (dev > tol).any():
         return None
