@@ -3,13 +3,13 @@
 Constant generators are evolved exactly (hermitian ones through a single
 eigendecomposition, general ones through one scaling-and-squaring
 exponential per distinct time gap); periodic generators are evolved with
-``SUBSTEPS_PER_PERIOD`` midpoint-sampled piecewise-constant steps per
-period, and the whole periods between samples are a power, taken by
-repeated squaring, of one cached one-period propagator projected onto
-the nearest unitary.  The analysis helpers extract component populations,
-remove fast ripple with a moving average, and estimate the secular time
-shift between two slowly oscillating signals by pairing their interior
-maxima.
+the fourth-order commutator-free scheme of ``floquet.monodromy``, at
+``SUBSTEPS_PER_PERIOD`` steps per period, and the whole periods between
+samples are a power, taken by repeated squaring, of one cached one-period
+propagator projected onto the nearest unitary.  The analysis helpers
+extract component populations, remove fast ripple with a moving average,
+and estimate the secular time shift between two slowly oscillating
+signals by pairing their interior maxima.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from .floquet import FloquetSpec, _propagator
+from .floquet import FloquetSpec, _cf4_propagator
 
 __all__ = [
     "StateVector",
@@ -42,8 +42,8 @@ __all__ = [
 
 # Fewest interior maxima secular_shift pairs in each signal.
 MIN_PEAKS = 3
-# Midpoint substeps per drive period of evolve_periodic.
-SUBSTEPS_PER_PERIOD = 256
+# Fourth-order steps (two exponentials each) per period of evolve_periodic.
+SUBSTEPS_PER_PERIOD = 128
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -150,37 +150,33 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
                       generator_kind=label)
 
 
-def _substeps(spec: FloquetSpec, psi: np.ndarray, start: float, stop: float,
-              nominal: float) -> np.ndarray:
-    """``psi`` advanced over ``[start, stop]`` by equal midpoint substeps of
-    at most ``nominal`` (rounding aside), in slices of at most
-    ``SUBSTEPS_PER_PERIOD`` of them so memory stays bounded."""
+def _substeps(spec: FloquetSpec, psi: np.ndarray, start: float,
+              stop: float) -> np.ndarray:
+    """``psi`` advanced over ``[start, stop]``, at most one drive period, by
+    equal fourth-order steps of at most ``T / SUBSTEPS_PER_PERIOD``
+    (rounding aside)."""
+    nominal = spec.period / SUBSTEPS_PER_PERIOD
     count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
-    h = (stop - start) / count
-    for first in range(0, count, SUBSTEPS_PER_PERIOD):
-        n = min(SUBSTEPS_PER_PERIOD, count - first)
-        end = stop if first + n == count else start + (first + n) * h
-        psi = _propagator(spec, start + first * h, end, n) @ psi
-    return psi
+    return _cf4_propagator(spec, start, stop, count) @ psi
 
 
 def evolve_periodic(spec: FloquetSpec, state: StateVector,
                     times) -> TimeSeries:
     """Evolve a state under a periodic generator from ``t = 0``.
 
-    Uses midpoint-sampled piecewise-constant exponentials with at least
-    ``SUBSTEPS_PER_PERIOD`` substeps per drive period; sample times must be
-    non-negative, non-decreasing and at most ``2**53`` drive periods, past
-    which a float no longer resolves the phase within a period (ValueError
-    otherwise).  Whole periods are advanced by ``U_T``, the
-    nearest unitary to the propagator built once from exactly
-    ``SUBSTEPS_PER_PERIOD`` substeps: a gap holding ``m`` whole periods
-    takes its own substeps up to the first period boundary (the head, none
-    from a boundary), ``U_T^m`` by repeated squaring, then its own
-    substeps from the last boundary (the tail, none to a boundary).  A gap
-    inside one period takes its own substeps.  Raises
-    :class:`NonUnitaryStep` if the state norm drifts from its initial value
-    by more than 1e-8 or stops being finite.
+    Takes fourth-order commutator-free steps, as :func:`floquet.monodromy`
+    does, at least ``SUBSTEPS_PER_PERIOD`` per drive period; sample times
+    must be non-negative, non-decreasing and at most ``2**53`` drive
+    periods, past which a float no longer resolves the phase within a
+    period (ValueError otherwise).  Each gap is cut at every period boundary
+    inside it, a sample being on one when ``t / T`` is within
+    ``4 eps max(1, t / T)`` of an integer: the head up to the first boundary
+    and the tail from the last (the whole gap if it holds none) take their
+    own steps, and the ``m`` whole periods between are ``U_T^m`` by repeated
+    squaring, with ``U_T`` the nearest unitary to the propagator of exactly
+    ``SUBSTEPS_PER_PERIOD`` steps.  A zero state stays zero.  Raises
+    :class:`NonUnitaryStep` if the norm drifts from its initial value by
+    more than 1e-8 of it or stops being finite.
     """
     if state.dim != spec.dim:
         raise ShapeMismatch(
@@ -189,16 +185,15 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     if t[0] < 0.0 or np.any(np.diff(t) < 0.0):
         raise ValueError("sample times must be non-negative and non-decreasing")
     period = spec.period
-    nominal = period / SUBSTEPS_PER_PERIOD
     with np.errstate(over="ignore"):  # an overflow is reported just below
         phase = t / period
     if not phase[-1] <= 2.0 ** 53:  # also catches the overflow to inf
         raise ValueError("sample times hold more drive periods than a float")
-    on_boundary = np.abs(phase - np.round(phase)) <= 1e-9 * np.maximum(1.0, phase)
+    # The rounding of t / T: eps k for t = k T, 2 eps k on a linspace grid.
+    on_boundary = (np.abs(phase - np.round(phase))
+                   <= 4.0 * np.finfo(float).eps * np.maximum(1.0, phase))
     psi = state.amplitudes.copy()
     norm0 = float(np.linalg.norm(psi))
-    if norm0 == 0.0:
-        raise ZeroVector("cannot evolve a zero state")
     amps = np.empty((t.size, spec.dim), dtype=complex)
     u_period = None
 
@@ -206,7 +201,7 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
         nonlocal u_period
         if u_period is None:
             w, _, vh = np.linalg.svd(
-                _propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD))
+                _cf4_propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD))
             u_period = w @ vh
         return np.linalg.matrix_power(u_period, m) @ psi
 
@@ -218,20 +213,21 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
                      else int(np.ceil(current / period)))
             last = (round(target / period) if on_boundary[i]
                     else int(np.floor(target / period)))
-            if last > first:
+            if last >= first:
                 if not from_boundary:
-                    psi = _substeps(spec, psi, current, first * period, nominal)
-                psi = periods(psi, last - first)
+                    psi = _substeps(spec, psi, current, first * period)
+                if last > first:
+                    psi = periods(psi, last - first)
                 if not on_boundary[i]:
-                    psi = _substeps(spec, psi, last * period, target, nominal)
+                    psi = _substeps(spec, psi, last * period, target)
             else:
-                psi = _substeps(spec, psi, current, target, nominal)
+                psi = _substeps(spec, psi, current, target)
             current, from_boundary = target, on_boundary[i]
         amps[i] = psi
-        drift = abs(float(np.linalg.norm(psi)) / norm0 - 1.0)
-        if not drift <= 1e-8:
+        drift = abs(float(np.linalg.norm(psi)) - norm0)
+        if not drift <= 1e-8 * norm0:
             raise NonUnitaryStep(
-                f"norm drifted by {drift:.3e} at t = {target:g}")
+                f"norm drifted by {drift:.3e} from {norm0:.3e} at t = {target:g}")
     return TimeSeries(times=t, amplitudes=amps, labels=state.labels,
                       generator_kind="periodic")
 

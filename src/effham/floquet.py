@@ -247,7 +247,7 @@ def fold_quasienergy(values, drive_frequency: float):
 # Two-exponential commutator-free scheme of order 4 (Alvermann & Fehske,
 # J. Comput. Phys. 230, 5930 (2011)): Gauss nodes 1/2 -+ sqrt(3)/6 and
 # weights (3 -+ 2 sqrt(3))/12.
-_CF4_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_CF4_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _CF4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0,
                 (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
 
@@ -267,13 +267,20 @@ def _exp_product(generators: np.ndarray, h: float) -> np.ndarray:
     return cur[0]
 
 
-def _propagator(spec: FloquetSpec, start: float, stop: float,
-                count: int) -> np.ndarray:
-    """Ordered product of ``count`` midpoint-sampled exponentials covering
-    ``[start, stop]`` (second order)."""
-    h = (stop - start) / count
-    mids = start + (np.arange(count) + 0.5) * h
-    return _exp_product(spec.hamiltonian_at(mids), h)
+def _cf4_propagator(spec: FloquetSpec, start: float, stop: float,
+                    steps: int) -> np.ndarray:
+    """Ordered product of ``steps`` equal fourth-order commutator-free steps
+    covering ``[start, stop]``, two exponentials each (see :func:`monodromy`)."""
+    h = (stop - start) / steps
+    # start + k h first, then + c h: this order fixes monodromy's rounding.
+    nodes = start + np.arange(steps) * h + h * _CF4_NODES[:, None]
+    h1, h2 = spec.hamiltonian_at(nodes.ravel()).reshape(
+        2, steps, spec.dim, spec.dim)
+    a1, a2 = _CF4_WEIGHTS
+    gens = np.empty((2 * steps, spec.dim, spec.dim), dtype=complex)
+    gens[0::2] = a2 * h1 + a1 * h2  # acts first in each step
+    gens[1::2] = a1 * h1 + a2 * h2
+    return _exp_product(gens, h)
 
 
 def monodromy(spec: FloquetSpec, steps: int | None = None, *,
@@ -302,13 +309,7 @@ def monodromy(spec: FloquetSpec, steps: int | None = None, *,
         raise ValueError(
             f"{steps} steps leave step*||H|| = {h * bound:.3e} above 0.1; "
             f"refine the grid")
-    starts = np.arange(steps) * h
-    h1, h2 = (spec.hamiltonian_at(starts + c * h) for c in _CF4_NODES)
-    a1, a2 = _CF4_WEIGHTS
-    gens = np.empty((2 * steps, spec.dim, spec.dim), dtype=complex)
-    gens[0::2] = a2 * h1 + a1 * h2  # acts first in each step
-    gens[1::2] = a1 * h1 + a2 * h2
-    u = _exp_product(gens, h)
+    u = _cf4_propagator(spec, 0.0, period, steps)
     defect = matrixkit.spectral_norm(
         u.conj().T @ u - np.eye(spec.dim))
     if defect > 1e-8:

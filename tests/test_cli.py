@@ -625,6 +625,24 @@ def test_simulate_psi0_parsing(tmp_path, capsys):
                  "--psi0", "1,0"]) == 2
 
 
+def test_simulate_evolves_a_zero_state(tmp_path, capsys):
+    # Zero in, zeros out, on both model kinds; 0,0,1 has a zero slow part.
+    lam, qubit = write_lambda(tmp_path), write_qubit(tmp_path)
+    for argv, zero_tokens in (([lam, "--psi0", "0,0,0"], ["exact"]),
+                              ([qubit, "--psi0", "0,0"], ["exact"]),
+                              ([lam, "--psi0", "0,0,1", "--generators",
+                                "exact,adiabatic"], ["adiabatic"])):
+        assert main(["simulate", *argv, "--tmax", "1.0", "--samples", "3"]) == 0
+        zero = []
+        for chunk in capsys.readouterr().out.split("# generator: ")[1:]:
+            token, _, csv = chunk.partition("\n")
+            if token in zero_tokens:
+                zero.append(token)
+                for row in csv.splitlines()[1:]:
+                    assert set(row.split(",")[1:]) == {"0"}
+        assert zero == zero_tokens
+
+
 SINGULAR_FAST = [[0.1, 0, 0.05], [0, -0.1, 0.02], [0.05, 0.02, 0]]
 
 

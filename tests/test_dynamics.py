@@ -23,8 +23,8 @@ from effham.errors import (
     ZeroVector,
 )
 from effham import floquet
-from effham.floquet import FloquetSpec, _propagator
-from ensembles import drive_ensemble
+from effham.floquet import FloquetSpec, _cf4_propagator, monodromy
+from ensembles import drive_ensemble, midpoint_propagator
 
 SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = SP.conj().T
@@ -110,7 +110,7 @@ def test_periodic_strobe_matches_monodromy_powers():
     state = StateVector(np.array([1.0, 0.0]))
     strobe = np.arange(5) * spec.period
     series = evolve_periodic(spec, state, strobe)
-    u = _propagator(spec, 0.0, spec.period, SUBSTEPS_PER_PERIOD)
+    u = monodromy(spec, SUBSTEPS_PER_PERIOD)
     psi = state.amplitudes.copy()
     for k in range(5):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-10
@@ -125,44 +125,54 @@ def test_periodic_whole_periods_take_the_nominal_substeps():
     state = StateVector(np.array([0.6, 0.8j]))
     strobe = np.arange(17) * spec.period
     series = evolve_periodic(spec, state, strobe)
-    u = _propagator(spec, 0.0, spec.period, SUBSTEPS_PER_PERIOD)
+    u = monodromy(spec, SUBSTEPS_PER_PERIOD)
     psi = state.amplitudes.copy()
     for k in range(17):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-12
         psi = u @ psi
 
 
-def _substep_loop(spec, psi, times):
-    """Reference: the midpoint exponentials of each piece of a gap from one
-    batched eigh, applied to the state one substep at a time.  A gap that
-    holds a whole period is cut at every period boundary inside it."""
+def _piecewise(spec, psi, times, advance):
+    """The state at each sample time, each gap cut at every period boundary
+    strictly inside it and advanced piece by piece by ``advance(psi, start,
+    stop)``."""
     period = spec.period
-    nominal = period / SUBSTEPS_PER_PERIOD
+    out, current = [], 0.0
+    for target in times:
+        bounds = np.arange(np.ceil(current / period),
+                           np.floor(target / period) + 1) * period
+        cuts = [current, *bounds[(bounds > current) & (bounds < target)],
+                target]
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            if stop > start:
+                psi = advance(psi, start, stop)
+        current = target
+        out.append(psi)
+    return np.array(out)
+
+
+def _steps(start, stop, period, per_period):
+    return int(max(1, np.ceil((stop - start) * per_period / period - 1e-9)))
+
+
+def _substep_loop(spec, psi, times):
+    """Reference: the fourth-order commutator-free exponentials of each
+    piece from one batched eigh, applied to the state one at a time."""
+    a1, a2 = floquet._CF4_WEIGHTS
 
     def advance(psi, start, stop):
-        if stop - start <= 1e-9 * period:  # a boundary sample: no piece
-            return psi
-        count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
+        count = _steps(start, stop, spec.period, SUBSTEPS_PER_PERIOD)
         h = (stop - start) / count
-        mids = start + (np.arange(count) + 0.5) * h
-        vals, vecs = np.linalg.eigh(spec.hamiltonian_at(mids))
+        starts = start + np.arange(count) * h
+        h1, h2 = (spec.hamiltonian_at(starts + c * h)
+                  for c in floquet._CF4_NODES)
+        gens = np.stack([a2 * h1 + a1 * h2, a1 * h1 + a2 * h2], axis=1)
+        vals, vecs = np.linalg.eigh(gens.reshape(-1, spec.dim, spec.dim))
         for lam, v in zip(vals, vecs):
             psi = v @ (np.exp(-1j * lam * h) * (v.conj().T @ psi))
         return psi
 
-    out = []
-    current = 0.0
-    for target in times:
-        if target > current:
-            first = np.ceil(current / period - 1e-9)
-            last = np.floor(target / period + 1e-9)
-            inner = np.arange(first, last + 1) * period if last > first else []
-            cuts = [current, *inner, target]
-            for start, stop in zip(cuts[:-1], cuts[1:]):
-                psi = advance(psi, start, stop)
-            current = target
-        out.append(psi)
-    return np.array(out)
+    return _piecewise(spec, psi, times, advance)
 
 
 def test_periodic_matches_the_substep_loop():
@@ -182,8 +192,9 @@ def test_periodic_matches_the_substep_loop():
 
 
 def test_periodic_long_gaps_take_bounded_substep_stacks(monkeypatch):
-    # Gaps of many periods that start or end off the period grid are
-    # advanced in slices; no eigh sees more than one period's substeps.
+    # Gaps of many periods that start or end off the period grid are cut at
+    # every boundary inside them; no eigh sees more than one period's
+    # exponentials.
     eigh, shapes = np.linalg.eigh, []
 
     def counting_eigh(a, *args, **kwargs):
@@ -201,13 +212,13 @@ def test_periodic_long_gaps_take_bounded_substep_stacks(monkeypatch):
         series = evolve_periodic(spec, StateVector(start), t)
         monkeypatch.undo()
         assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
-        assert max(shapes) == (SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)
+        assert max(shapes) == (2 * SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)
 
 
 def test_periodic_off_grid_gaps_reuse_the_period_propagator(monkeypatch):
-    # 0 -> 3.3 T: three periods, then a tail of 77 substeps; 3.3 T -> 40.05 T:
-    # a head of 180 substeps, 36 periods and a tail of 13.  Every whole
-    # period is the one cached U_T.
+    # 0 -> 3.3 T: three periods, then a tail of 39 steps; 3.3 T -> 40.05 T:
+    # a head of 90 steps, 36 periods and a tail of 7.  Every whole period is
+    # the one cached U_T; each step takes two exponentials.
     spec = list(drive_ensemble())[2]
     eigh, shapes = np.linalg.eigh, []
 
@@ -221,7 +232,7 @@ def test_periodic_off_grid_gaps_reuse_the_period_propagator(monkeypatch):
     monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
     series = evolve_periodic(spec, StateVector(start), t)
     monkeypatch.undo()
-    assert shapes == [SUBSTEPS_PER_PERIOD, 77, 180, 13]
+    assert shapes == [2 * SUBSTEPS_PER_PERIOD, 78, 180, 14]
     ref = _substep_loop(spec, start, t)
     assert np.max(np.abs(series.amplitudes - ref)) < 1e-12
 
@@ -235,11 +246,77 @@ def test_periodic_strobe_decomposes_one_period_once(monkeypatch):
         shapes.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
     start = np.zeros(spec.dim, dtype=complex)
     start[0] = 1.0
-    evolve_periodic(spec, StateVector(start), np.arange(17) * spec.period)
-    assert shapes == [(SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)]
+    # Far out too, t / T of k T rounds to within eps * k of k: on a boundary.
+    for periods in (np.arange(17),
+                    np.array([0, 1, 3, 1000, 123_457, 10**6, 2**20 + 1])):
+        shapes.clear()
+        monkeypatch.setattr(floquet.np.linalg, "eigh", counting_eigh)
+        evolve_periodic(spec, StateVector(start), periods * spec.period)
+        monkeypatch.undo()
+        assert shapes == [(2 * SUBSTEPS_PER_PERIOD, spec.dim, spec.dim)]
+
+
+def test_periodic_beats_the_midpoint_scheme_100x():
+    # Against a fourth-order reference at 2048 steps per period, over 16
+    # periods at strobe and off-grid times: the scheme evolve_periodic took
+    # before, 256 midpoint substeps per period (the same exponential count
+    # per period), is off by at least 100x more.
+    def by(spec, propagator, per_period):
+        # A piece one period long runs from boundary to boundary.
+        whole = propagator(spec, 0.0, spec.period, per_period)
+
+        def advance(psi, start, stop):
+            if stop - start >= (1.0 - 1e-12) * spec.period:
+                return whole @ psi
+            count = _steps(start, stop, spec.period, per_period)
+            return propagator(spec, start, stop, count) @ psi
+        return advance
+
+    for spec in drive_ensemble():
+        start = np.zeros(spec.dim, dtype=complex)
+        start[0] = 1.0
+        refined = by(spec, _cf4_propagator, 2048)
+        midpoint = by(spec, midpoint_propagator, 256)
+        for grid in (np.arange(17), np.array([0.0, 0.37, 1.0, 4.0, 5.25,
+                                              9.6, 16.3])):
+            t = grid * spec.period
+            ref = _piecewise(spec, start, t, refined)
+            err = np.max(np.abs(
+                evolve_periodic(spec, StateVector(start), t).amplitudes - ref))
+            assert 100.0 * err <= np.max(np.abs(
+                _piecewise(spec, start, t, midpoint) - ref))
+
+
+def test_periodic_samples_near_a_boundary_are_evolved():
+    # A sample within 1e-9 (m + 1) periods past m T once counted as on that
+    # boundary, and the evolution in between was dropped on one path of two.
+    static = FloquetSpec(dim=2, drive_frequency=5.0, components={0: SX})
+    driven = FloquetSpec(dim=2, drive_frequency=10.0,
+                         components={-1: SP, 1: SM})
+    state = StateVector(np.array([1.0, 0.0]))
+    for m, offset in ((1000, 5e-7), (10**6, 5e-4)):
+        for spec in (static, driven):
+            t = (m + offset) * spec.period
+            direct = evolve_periodic(spec, state, [0.0, t]).amplitudes
+            via = evolve_periodic(spec, state, [0.0, m * spec.period, t]).amplitudes
+            assert np.max(np.abs(direct[-1] - via[-1])) < 1e-12
+            # H(m T) = SX moves the state at rate 1.
+            moved = np.max(np.abs(direct[-1] - via[1]))
+            assert moved > 0.5 * offset * spec.period
+        exact = evolve_constant(SX, state, [t]).amplitudes[0]
+        assert np.max(np.abs(
+            evolve_periodic(static, state, [0.0, t]).amplitudes[-1] - exact)) < 1e-8
+
+
+def test_periodic_and_constant_evolve_a_zero_state():
+    spec = list(drive_ensemble())[0]
+    zero = StateVector(np.zeros(spec.dim))
+    t = np.array([0.0, 0.37, 1.0, 3.3]) * spec.period
+    for series in (evolve_periodic(spec, zero, t),
+                   evolve_constant(spec.component(0), zero, t)):
+        assert np.array_equal(series.amplitudes, np.zeros((t.size, spec.dim)))
 
 
 def test_periodic_with_static_drive_matches_constant():
