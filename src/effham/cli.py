@@ -393,10 +393,9 @@ def _route_name(method: str, order: int | None = None) -> str:
     return "sw_first" if method == "sw" else method
 
 
-def _solve_once(ph, args):
-    """Effective operator and embedding of ``solve``'s method."""
-    name = _route_name(args.method, args.order)
-    op, be = _effective_route(name, args.tol)(ph)
+def _solve_once(ph, name: str, route):
+    """Effective operator and embedding of the route ``name``, ``route``."""
+    op, be = route(ph)
     if be is None:  # a closed form: report the embedding it implies
         be = (adiabatic_embedding(ph) if name == "adiabatic" else
               embedding_from_generator(ph, ph.first_order_block))
@@ -435,12 +434,14 @@ def _sweep(args, names, header, cells) -> int:
 
 
 def cmd_solve(args) -> int:
+    name = _route_name(args.method, args.order)
+    route = _effective_route(name, args.tol)  # checks the order, before work
     model = load_model(args.model)
     if model.kind == "floquet":
         raise ModelFormatError(
             "periodic models are handled by the floquet command")
     if args.sweep:
-        return _solve_sweep(args, model)
+        return _solve_sweep(args, model, name, route)
     ph = partition_hamiltonian(model.hamiltonian, model.slow_indices)
     scales, gap = coupling_scales(ph), spectral_gap(ph)
     print(f"epsilon = {scales.epsilon:.6g}, "
@@ -451,7 +452,7 @@ def cmd_solve(args) -> int:
               "invariant ball", file=sys.stderr)
     else:
         print(f"invariant-ball radius = {scales.radius:.6g}", file=sys.stderr)
-    op, be = _solve_once(ph, args)
+    op, be = _solve_once(ph, name, route)
     full = matrixkit.hermitian_eig(model.hamiltonian).values
     report = {
         "tool": "effham",
@@ -476,7 +477,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _solve_sweep(args, model: Model) -> int:
+def _solve_sweep(args, model: Model, name: str, route) -> int:
     if model.kind != "lambda_system":
         raise ModelFormatError("solve sweeps are defined for lambda_system "
                                "models only")
@@ -484,7 +485,7 @@ def _solve_sweep(args, model: Model) -> int:
     def solve(h):
         ph = partition_hamiltonian(h, model.slow_indices)
         scales = coupling_scales(ph)
-        op, be = _solve_once(ph, args)
+        op, be = _solve_once(ph, name, route)
         return (np.real(op.spectrum()), be.residual, scales.epsilon,
                 scales.epsilon_prime, scales.radius)
 

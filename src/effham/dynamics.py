@@ -1,12 +1,11 @@
 """Time evolution, populations, smoothing, and secular-shift diagnostics.
 
 Constant generators are evolved exactly (hermitian ones through a single
-eigendecomposition, general ones through one scaling-and-squaring
+eigendecomposition, general ones through one numpy scaling-and-squaring
 exponential per distinct time gap); periodic generators are evolved with
-the fourth-order commutator-free scheme of ``floquet.monodromy``, at
-``SUBSTEPS_PER_PERIOD`` steps per period, and the whole periods between
-samples are a power, taken by repeated squaring, of one cached one-period
-propagator projected onto the nearest unitary.  The analysis helpers
+the fourth-order commutator-free scheme of ``floquet.monodromy``, and the
+whole periods between samples are a product of cached power-of-two powers
+of the one-period propagator, each made unitary again.  The analysis helpers
 extract component populations, remove fast ripple with a moving average,
 and estimate the secular time shift between two slowly oscillating
 signals by pairing their interior maxima.
@@ -27,7 +26,7 @@ from .errors import (
     WindowTooSmall,
     ZeroVector,
 )
-from .floquet import FloquetSpec, _cf4_propagator
+from .floquet import FloquetSpec, _cf4_propagator, _steps_per_period
 
 __all__ = [
     "StateVector",
@@ -42,7 +41,7 @@ __all__ = [
 
 # Fewest interior maxima secular_shift pairs in each signal.
 MIN_PEAKS = 3
-# Fourth-order steps (two exponentials each) per period of evolve_periodic.
+# Fewest fourth-order steps, two exponentials each, per period evolved.
 SUBSTEPS_PER_PERIOD = 128
 
 
@@ -106,8 +105,8 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
 
     Generators hermitian to ``matrixkit.HERM_TOL`` are hermitized,
     diagonalized once and sampled at arbitrary times; general generators
-    are advanced with stepped scaling-and-squaring exponentials, one per
-    distinct time gap, which requires non-decreasing times.  Norm is
+    are advanced with numpy exponentials, one per distinct time gap (the
+    first gap from ``t = 0``), which requires non-decreasing times.  Norm is
     preserved only in the hermitian case; a general generator whose
     evolution overflows raises :class:`ConvergenceFailure`.
     """
@@ -128,20 +127,17 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
         if np.any(np.diff(t) < 0.0):
             raise ValueError(
                 "non-hermitian generators require non-decreasing times")
-        import scipy.linalg  # deferred: the only scipy use, and a slow import
         amps = np.empty((t.size, state.dim), dtype=complex)
         steppers: dict[float, np.ndarray] = {}
+        psi = psi0
         # Overflow is reported once, below, instead of as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = (scipy.linalg.expm(-1j * a * t[0]) @ psi0 if t[0] != 0.0
-                   else psi0.copy())
-            amps[0] = psi
-            for i, dt in enumerate(np.diff(t)):
+            for i, dt in enumerate(np.diff(t, prepend=0.0)):
                 if dt != 0.0:
                     if dt not in steppers:
-                        steppers[dt] = scipy.linalg.expm(-1j * a * dt)
+                        steppers[dt] = matrixkit._expm(-1j * a * dt)
                     psi = steppers[dt] @ psi
-                amps[i + 1] = psi
+                amps[i] = psi
         if not np.all(np.isfinite(amps)):
             raise ConvergenceFailure(
                 "non-hermitian evolution overflowed to non-finite amplitudes")
@@ -150,31 +146,23 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
                       generator_kind=label)
 
 
-def _substeps(spec: FloquetSpec, psi: np.ndarray, start: float,
-              stop: float) -> np.ndarray:
-    """``psi`` advanced over ``[start, stop]``, at most one drive period, by
-    equal fourth-order steps of at most ``T / SUBSTEPS_PER_PERIOD``
-    (rounding aside)."""
-    nominal = spec.period / SUBSTEPS_PER_PERIOD
-    count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
-    return _cf4_propagator(spec, start, stop, count) @ psi
-
-
 def evolve_periodic(spec: FloquetSpec, state: StateVector,
                     times) -> TimeSeries:
     """Evolve a state under a periodic generator from ``t = 0``.
 
     Takes fourth-order commutator-free steps, as :func:`floquet.monodromy`
-    does, at least ``SUBSTEPS_PER_PERIOD`` per drive period; sample times
+    does, ``max(SUBSTEPS_PER_PERIOD, ceil(10 ||H|| T))`` per drive period
+    (``||H||`` bounded by :meth:`FloquetSpec.norm_bound`); sample times
     must be non-negative, non-decreasing and at most ``2**53`` drive
     periods, past which a float no longer resolves the phase within a
     period (ValueError otherwise).  Each gap is cut at every period boundary
     inside it, a sample being on one when ``t / T`` is within
     ``4 eps max(1, t / T)`` of an integer: the head up to the first boundary
     and the tail from the last (the whole gap if it holds none) take their
-    own steps, and the ``m`` whole periods between are ``U_T^m`` by repeated
-    squaring, with ``U_T`` the nearest unitary to the propagator of exactly
-    ``SUBSTEPS_PER_PERIOD`` steps.  A zero state stays zero.  Raises
+    own steps, and the ``m`` whole periods between are ``U_T^m`` as one
+    cached ``P_j`` per set bit ``j`` of ``m``, ``P_0 = U_T`` and ``P_{j+1}``
+    the nearest unitaries to one period's steps and to ``P_j^2``, so the
+    norm error does not grow with ``m``.  A zero state stays zero.  Raises
     :class:`NonUnitaryStep` if the norm drifts from its initial value by
     more than 1e-8 of it or stops being finite.
     """
@@ -195,15 +183,26 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     psi = state.amplitudes.copy()
     norm0 = float(np.linalg.norm(psi))
     amps = np.empty((t.size, spec.dim), dtype=complex)
-    u_period = None
+    per_period = _steps_per_period(spec.norm_bound() * period,
+                                   SUBSTEPS_PER_PERIOD)
+    nominal = period / per_period
+    powers: list[np.ndarray] = []  # P_j = U_T^(2^j)
+
+    def substeps(psi: np.ndarray, start: float, stop: float) -> np.ndarray:
+        # Equal steps of at most ``nominal`` (rounding aside), in one period.
+        count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
+        return _cf4_propagator(spec, start, stop, count) @ psi
 
     def periods(psi: np.ndarray, m: int) -> np.ndarray:
-        nonlocal u_period
-        if u_period is None:
-            w, _, vh = np.linalg.svd(
-                _cf4_propagator(spec, 0.0, period, SUBSTEPS_PER_PERIOD))
-            u_period = w @ vh
-        return np.linalg.matrix_power(u_period, m) @ psi
+        while len(powers) < m.bit_length():
+            w, _, vh = np.linalg.svd(powers[-1] @ powers[-1] if powers else
+                                     _cf4_propagator(spec, 0.0, period,
+                                                     per_period))
+            powers.append(w @ vh)
+        for j, power in enumerate(powers[:m.bit_length()]):
+            if m >> j & 1:
+                psi = power @ psi
+        return psi
 
     current, from_boundary = 0.0, True
     for i, target in enumerate(t):
@@ -215,13 +214,13 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
                     else int(np.floor(target / period)))
             if last >= first:
                 if not from_boundary:
-                    psi = _substeps(spec, psi, current, first * period)
+                    psi = substeps(psi, current, first * period)
                 if last > first:
                     psi = periods(psi, last - first)
                 if not on_boundary[i]:
-                    psi = _substeps(spec, psi, last * period, target)
+                    psi = substeps(psi, last * period, target)
             else:
-                psi = _substeps(spec, psi, current, target)
+                psi = substeps(psi, current, target)
             current, from_boundary = target, on_boundary[i]
         amps[i] = psi
         drift = abs(float(np.linalg.norm(psi)) - norm0)

@@ -283,6 +283,11 @@ def _cf4_propagator(spec: FloquetSpec, start: float, stop: float,
     return _exp_product(gens, h)
 
 
+def _steps_per_period(norm_period: float, minimum: int) -> int:
+    """``max(minimum, ceil(10 ||H|| T))`` steps, ``norm_period = ||H|| T``."""
+    return int(max(minimum, np.ceil(10.0 * norm_period)))
+
+
 def monodromy(spec: FloquetSpec, steps: int | None = None, *,
               _report: dict | None = None) -> np.ndarray:
     """One-period propagator by the fourth-order commutator-free scheme.
@@ -301,7 +306,7 @@ def monodromy(spec: FloquetSpec, steps: int | None = None, *,
     period = spec.period
     bound = max(spec.norm_bound(), 1e-30)
     if steps is None:
-        steps = int(max(256, np.ceil(10.0 * bound * period)))
+        steps = _steps_per_period(bound * period, 256)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     h = period / steps

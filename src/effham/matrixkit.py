@@ -193,6 +193,28 @@ def general_eig(a: np.ndarray) -> EigenDecomposition:
         hermitian=False)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Exponential of a square matrix by scaling and squaring (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): the degree-18 Taylor
+    polynomial of ``a / 2^s``, with ``2^s >= 1`` the least power of two
+    above twice the 1-norm (so the remainder is below 1e-23 relative), squared
+    ``s`` times.  A non-finite norm gives an all-nan matrix; an overflow
+    while squaring gives inf or nan entries, under the caller's
+    ``np.errstate``."""
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not np.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=complex)
+    s = max(0, int(np.frexp(norm)[1]) + 1)  # norm < 2^e
+    scaled = a * 0.5 ** s
+    eye = np.eye(a.shape[0], dtype=complex)
+    out = eye
+    for k in range(18, 0, -1):  # Horner: 1 + x (1 + x/2 (1 + x/3 (...)))
+        out = eye + (scaled @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _heaviest_columns(rows: np.ndarray, count: int, floor: float,
                       what: str) -> np.ndarray:
     """Ascending indices of the ``count`` columns of largest weight, the

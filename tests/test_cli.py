@@ -268,14 +268,20 @@ def test_solve_reports_the_route_table(tmp_path, capsys, argv, name):
     assert report["bloch_residual"] == be.residual
 
 
-def test_solve_rejects_series_order_above_the_cap(tmp_path, capsys):
+@pytest.mark.parametrize("order, message", [
+    ("65", "<= 64, got 65"),
+    ("0", ">= 1, got 0"),
+], ids=["above_cap", "below_one"])
+def test_solve_checks_series_order_before_any_work(tmp_path, capsys, order,
+                                                   message):
+    # Nothing is computed or reported before the order is checked.
     model = write_lambda(tmp_path)
     for extra in ([], ["--sweep", "rabi_a:0.1:0.4:4"]):
-        assert main(["solve", model, "--method", "perturb", "--order", "65",
+        assert main(["solve", model, "--method", "perturb", "--order", order,
                      *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: series order must be <= 64, got 65" in captured.err
+        assert captured.err == f"error: series order must be {message}\n"
 
 
 def test_multi_line_report_parses_back_to_the_library_floats(tmp_path,
@@ -986,9 +992,8 @@ def test_subprocess_output_is_deterministic(tmp_path):
 
 
 def test_cli_paths_never_import_scipy(tmp_path):
-    # scipy.linalg roughly doubles the resident memory of a run; these
-    # commands need numpy alone.  (A non-hermitian generator such as
-    # iterate<k> does need it, for its matrix exponential.)
+    # scipy.linalg roughly doubles the resident memory of a run; every
+    # command needs numpy alone, the non-hermitian iterate<k> generator too.
     lam, dq = write_lambda(tmp_path), write_qubit(tmp_path)
     script = "\n".join([
         "import sys",
@@ -999,7 +1004,7 @@ def test_cli_paths_never_import_scipy(tmp_path):
         f"assert main(['floquet', {dq!r}, '--methods', "
         "'monodromy,diag,adiabatic,iterate']) == 0",
         f"assert main(['simulate', {lam!r}, '--tmax', '100', '--samples', "
-        "'201', '--generators', 'exact,adiabatic,second,sw,herm3', "
+        "'201', '--generators', 'exact,adiabatic,second,sw,iterate3,herm3', "
         f"'--out', {str(tmp_path / 'run')!r}]) == 0",
         "assert 'scipy' not in sys.modules, sorted(sys.modules)",
     ])
@@ -1010,8 +1015,7 @@ def test_cli_paths_never_import_scipy(tmp_path):
 
 def test_import_loads_no_third_party_package_but_numpy():
     # Start-up time of every entry point: importing effham pulls in the
-    # standard library, numpy and itself, nothing else (scipy only later,
-    # where a path needs it).
+    # standard library, numpy and itself, nothing else.
     script = "\n".join([
         "import sys",
         "before = set(sys.modules)",

@@ -88,6 +88,8 @@ def test_constant_nonhermitian_requires_sorted_times():
 @pytest.mark.parametrize("rate, times", [
     (1000.0, [0.0, 1.0]),                # one step overflows
     (100.0, np.arange(9.0)),             # growth overflows across steps
+    (5e307, [0.0, 1.0]),                 # a step's exponent near 1e308
+    (1e300, [0.0, 1e10]),                # a step's exponent is inf
 ])
 def test_constant_nonhermitian_overflow_raises(rate, times):
     a = np.diag([1j * rate, 0.0])
@@ -130,6 +132,47 @@ def test_periodic_whole_periods_take_the_nominal_substeps():
     for k in range(17):
         assert np.linalg.norm(series.amplitudes[k] - psi) < 1e-12
         psi = u @ psi
+
+
+def test_periodic_whole_periods_keep_the_norm():
+    # U_T^m once grew its norm error with m: 1.8e-8 at m = 2^26 - 1.
+    spec = list(drive_ensemble())[2]
+    start = np.zeros(spec.dim, dtype=complex)
+    start[0] = 1.0
+    for e in (26, 40, 52):
+        series = evolve_periodic(spec, StateVector(start),
+                                 [0.0, (2.0 ** e - 1.0) * spec.period])
+        assert abs(series.norms()[-1] - 1.0) <= 1e-14
+
+
+def test_periodic_whole_periods_match_the_matrix_power():
+    for spec in drive_ensemble():
+        w, _, vh = np.linalg.svd(
+            _cf4_propagator(spec, 0.0, spec.period, SUBSTEPS_PER_PERIOD))
+        start = np.zeros(spec.dim, dtype=complex)
+        start[-1] = 1.0
+        for m in (2, 3, 100, 1023):
+            series = evolve_periodic(spec, StateVector(start),
+                                     [0.0, m * spec.period])
+            ref = np.linalg.matrix_power(w @ vh, m) @ start
+            assert np.max(np.abs(series.amplitudes[-1] - ref)) < 1e-12
+
+
+def test_periodic_steps_follow_the_drive_strength():
+    # At w = 0.2 this drive has ||H|| T = 159: 128 steps per period were
+    # off by 6e-6 in one period, ceil(10 ||H|| T) steps are not.
+    base = list(drive_ensemble())[2]
+    for w in (0.2, 1.0, 10.0):
+        spec = FloquetSpec(dim=base.dim, drive_frequency=w,
+                           components=base.components)
+        steps = max(SUBSTEPS_PER_PERIOD,
+                    int(np.ceil(10.0 * spec.norm_bound() * spec.period)))
+        ref = _cf4_propagator(spec, 0.0, spec.period, 8 * steps)
+        for i in range(spec.dim):
+            start = np.eye(spec.dim, dtype=complex)[i]
+            series = evolve_periodic(spec, StateVector(start),
+                                     [0.0, spec.period])
+            assert np.max(np.abs(series.amplitudes[-1] - ref[:, i])) < 2e-9
 
 
 def _piecewise(spec, psi, times, advance):
