@@ -347,18 +347,15 @@ def _write_text(path: str | None, text: str) -> None:
         raise ModelFormatError(f"cannot write output: {exc}") from exc
 
 
-def _fmt_cell(x) -> str:
-    """CSV cell: strings as given, ``None`` empty, floats as bare tokens."""
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return _float_token(float(x))
-
-
-def _csv(rows) -> str:
-    """CSV table, header first, every cell through :func:`_fmt_cell`."""
-    return "".join(",".join(_fmt_cell(x) for x in row) + "\n" for row in rows)
+def _csv(header, *columns) -> str:
+    """CSV table: the ``header`` cells, then one row per entry of the
+    columns, each a float array (17-digit tokens, ``0`` for either zero,
+    as :func:`_float_token`) or a list of text cells."""
+    text = [isinstance(column, list) for column in columns]
+    row = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    cells = [column if t else (np.asarray(column, dtype=float) + 0.0).tolist()
+             for t, column in zip(text, columns)]
+    return ",".join(header) + "\n" + "".join(row % r for r in zip(*cells))
 
 
 def _comma_list(text: str, what: str) -> list[str]:
@@ -403,11 +400,11 @@ def _solve_once(ph, name: str, route):
 
 
 def _sweep(args, names, header, cells) -> int:
-    """CSV table of one ``name:lo:hi:steps`` sweep over ``names``: row
-    ``i`` is value ``i`` and the ``i``-th row of ``cells(name, values)``,
-    which gets every value at once, under ``header``.  The first failing
-    point aborts the sweep with its own error, so the table is written only
-    after every point has succeeded."""
+    """CSV table of one ``name:lo:hi:steps`` sweep over ``names``: the
+    swept values, then the columns ``cells(name, values)`` returns for every
+    value at once, under ``header``.  The first failing point aborts the
+    sweep with its own error, so the table is written only after every
+    point has succeeded."""
     parts = args.sweep.split(":")
     if len(parts) != 4:
         raise ModelFormatError("sweep must look like name:lo:hi:steps")
@@ -423,9 +420,7 @@ def _sweep(args, names, header, cells) -> int:
     if name not in names:
         raise ModelFormatError(f"unknown sweep parameter {name!r}")
     values = np.linspace(lo_f, hi_f, n)
-    rows = [[name, *header]] + [[value, *row] for value, row in
-                                zip(values, cells(name, values))]
-    _write_text(args.out, _csv(rows))
+    _write_text(args.out, _csv([name, *header], values, *cells(name, values)))
     return 0
 
 
@@ -495,13 +490,14 @@ def _solve_sweep(args, model: Model, name: str, route) -> int:
             **{**model.params, name: _lambda_value(name, value)})
             for value in values])
         try:
-            spectra, *columns = solve(h)
+            spectra, *floats, radius = solve(h)
         except (ToolkitError, ValueError):
             for point in h:  # the first failing point raises its own error
                 solve(point)
             raise
-        return [[*spectrum, *cols] for spectrum, *cols in zip(spectra,
-                                                             *columns)]
+        # The radius is None off the contraction ball: an empty cell.
+        return [*spectra.T, *floats,
+                ["" if r is None else _float_token(r) for r in radius]]
 
     header = [f"eig_{i}" for i in range(len(model.slow_indices))] + [
         "bloch_residual", "epsilon", "epsilon_prime", "radius"]
@@ -536,9 +532,7 @@ def _generator(ph, token: str) -> np.ndarray:
 
 def _series_csv(series) -> str:
     header = ["t"] + [f"pop_{lab}" for lab in series.labels] + ["norm"]
-    return _csv([header] + [[t, *pops, norm] for t, pops, norm in zip(
-        series.times.tolist(), populations(series).tolist(),
-        series.norms().tolist())])
+    return _csv(header, series.times, *populations(series).T, series.norms())
 
 
 def _parse_psi0(text: str | None, dim: int) -> np.ndarray:
@@ -610,10 +604,11 @@ def _cutoff_free_values(token: str, spec: FloquetSpec, steps) -> np.ndarray:
                                     spec.drive_frequency))
 
 
-def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
-    """Quasi-energies per token and their largest deviation from the first.
-    Every token is checked before any work; the cutoff-free rows come
-    first, then one ladder loop serves every ladder token."""
+def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff) -> np.ndarray:
+    """One row per token: its quasi-energies, then their largest deviation
+    from the first row's.  Every token is checked before any work; the
+    cutoff-free rows come first, then one ladder loop serves every ladder
+    token."""
     methods = {}  # token -> ladder-loop method, None if cutoff-free
     for token in tokens:
         if _QUASI_PATTERN.match(token) is None:
@@ -625,10 +620,9 @@ def _quasi_rows(tokens, spec: FloquetSpec, steps, cutoff):
     free = {token: _cutoff_free_values(token, spec, steps)
             for token, method in methods.items() if method is None}
     ladder = _ladder_quasi_energies(spec, filter(None, methods.values()), cutoff)
-    rows = [free[t] if methods[t] is None else ladder[methods[t]][0]
-            for t in tokens]
-    return [(values, float(np.max(np.abs(values - rows[0]))))
-            for values in rows]
+    rows = np.array([free[t] if methods[t] is None else ladder[methods[t]][0]
+                     for t in tokens])
+    return np.column_stack([rows, np.max(np.abs(rows - rows[0]), axis=1)])
 
 
 def _scaled_spec(spec: FloquetSpec, name: str, value: float) -> FloquetSpec:
@@ -650,17 +644,15 @@ def cmd_floquet(args) -> int:
     if args.sweep is None:
         rows = _quasi_rows(tokens, spec, args.steps, args.cutoff)
         _write_text(args.out, _csv(
-            [["method", *(f"q_{i}" for i in range(d)), "max_dev"]]
-            + [[token, *values, dev]
-               for token, (values, dev) in zip(tokens, rows)]))
+            ["method", *(f"q_{i}" for i in range(d)), "max_dev"],
+            tokens, *rows.T))
         return 0
 
-    def cells(name: str, values) -> list:
-        def point(value) -> list:
-            swept = _scaled_spec(spec, name, float(value))
-            rows = _quasi_rows(tokens, swept, args.steps, args.cutoff)
-            return [x for row, dev in rows for x in (*row, dev)]
-        return [point(value) for value in values]  # each its own ladders
+    def cells(name: str, values) -> np.ndarray:
+        # Each point builds its own ladders; its rows, token by token.
+        return np.array([_quasi_rows(tokens, _scaled_spec(spec, name, value),
+                                     args.steps, args.cutoff).ravel()
+                         for value in values.tolist()]).T
 
     header = [f"{token}_{col}" for token in tokens
               for col in [*(f"q{i}" for i in range(d)), "dev"]]

@@ -5,10 +5,10 @@ eigendecomposition, general ones through one numpy scaling-and-squaring
 exponential per distinct time gap); periodic generators are evolved with
 the fourth-order commutator-free scheme of ``floquet.monodromy``, and the
 whole periods between samples are a product of cached power-of-two powers
-of the one-period propagator, each made unitary again.  The analysis helpers
-extract component populations, remove fast ripple with a moving average,
-and estimate the secular time shift between two slowly oscillating
-signals by pairing their interior maxima.
+of the one-period propagator; each power and each piece of a period is made
+unitary again.  The analysis helpers extract component populations, remove
+fast ripple with a moving average, and estimate the secular time shift
+between two slowly oscillating signals by pairing their interior maxima.
 """
 from __future__ import annotations
 
@@ -146,6 +146,13 @@ def evolve_constant(matrix: np.ndarray, state: StateVector,
                       generator_kind=label)
 
 
+def _nearest_unitary(u: np.ndarray) -> np.ndarray:
+    """Polar factor ``W V^dagger`` of ``u = W S V^dagger``, the unitary
+    nearest to ``u``."""
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
 def evolve_periodic(spec: FloquetSpec, state: StateVector,
                     times) -> TimeSeries:
     """Evolve a state under a periodic generator from ``t = 0``.
@@ -160,9 +167,10 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     ``4 eps max(1, t / T)`` of an integer: the head up to the first boundary
     and the tail from the last (the whole gap if it holds none) take their
     own steps, and the ``m`` whole periods between are ``U_T^m`` as one
-    cached ``P_j`` per set bit ``j`` of ``m``, ``P_0 = U_T`` and ``P_{j+1}``
-    the nearest unitaries to one period's steps and to ``P_j^2``, so the
-    norm error does not grow with ``m``.  A zero state stays zero.  Raises
+    cached ``P_j`` per set bit ``j`` of ``m``, with ``P_0 = U_T`` and
+    ``P_{j+1} = P_j^2``.  Every piece, ``U_T`` and ``P_j`` is replaced by its
+    nearest unitary, so the norm error grows neither with ``m`` nor with
+    the number of gaps.  A zero state stays zero.  Raises
     :class:`NonUnitaryStep` if the norm drifts from its initial value by
     more than 1e-8 of it or stops being finite.
     """
@@ -191,14 +199,13 @@ def evolve_periodic(spec: FloquetSpec, state: StateVector,
     def substeps(psi: np.ndarray, start: float, stop: float) -> np.ndarray:
         # Equal steps of at most ``nominal`` (rounding aside), in one period.
         count = int(max(1, np.ceil((stop - start) / nominal - 1e-9)))
-        return _cf4_propagator(spec, start, stop, count) @ psi
+        return _nearest_unitary(_cf4_propagator(spec, start, stop, count)) @ psi
 
     def periods(psi: np.ndarray, m: int) -> np.ndarray:
         while len(powers) < m.bit_length():
-            w, _, vh = np.linalg.svd(powers[-1] @ powers[-1] if powers else
-                                     _cf4_propagator(spec, 0.0, period,
-                                                     per_period))
-            powers.append(w @ vh)
+            powers.append(_nearest_unitary(
+                powers[-1] @ powers[-1] if powers else
+                _cf4_propagator(spec, 0.0, period, per_period)))
         for j, power in enumerate(powers[:m.bit_length()]):
             if m >> j & 1:
                 psi = power @ psi

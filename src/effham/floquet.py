@@ -88,8 +88,8 @@ class FloquetSpec:
             if partner is None:
                 raise NotHermitian(
                     f"component {k} has no adjoint partner at harmonic {-k}")
-            excess = matrixkit._hermiticity_excess(
-                arr, matrixkit.HERM_TOL, arr.conj().T - partner)
+            excess = matrixkit._hermiticity_excess(arr, matrixkit.HERM_TOL,
+                                                   partner)
             if excess is not None:
                 raise NotHermitian(
                     f"components {k} and {-k} are not mutually adjoint "

@@ -99,25 +99,50 @@ def spectral_norm(a: np.ndarray):
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(a + a^dagger) / 2`` of each matrix of ``a``."""
-    return 0.5 * (a + _adjoint(a))
+    """Hermitian part ``(a + a^dagger) / 2`` of each matrix of ``a``, halved
+    before the sum so that no finite hermitian input overflows."""
+    return 0.5 * a + 0.5 * _adjoint(a)
 
 
 def _hermiticity_excess(a: np.ndarray, tol: float,
-                        residual: np.ndarray | None = None):
-    """``(||residual||, max(1, ||a||))`` of the first matrix of ``a`` whose
-    first entry exceeds ``tol`` times the second, else None.  ``residual``
-    defaults to ``a - a^dagger``; an exact zero costs no SVD, and ``||a||``
-    is taken only past ``tol``."""
-    if residual is None:
-        a = np.asarray(a, dtype=complex)
-        residual = a - _adjoint(a)
-    dev = np.asarray(spectral_norm(residual))
-    if not (dev > tol).any():
+                        partner: np.ndarray | None = None):
+    """``(||a^dagger - partner||, max(1, ||a||))`` of the first matrix of
+    ``a`` whose first entry is not within ``tol`` times the second, else
+    None.  ``partner`` defaults to ``a`` (the residual is then formed as
+    ``a - a^dagger``, of the same norm); an exact zero deviation costs no
+    SVD, and ``||a||`` is taken only past ``tol``.  Where the residual or a
+    norm overflows, both norms are taken of ``a`` and ``partner`` scaled by
+    one power of two per matrix, which is exact: no SVD sees a non-finite
+    matrix, no overflow passes, and the reported pair may read inf.
+    Non-finite input raises ValueError."""
+    a = np.asarray(a, dtype=complex)
+    left, right = (a, _adjoint(a)) if partner is None else (_adjoint(a), partner)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = left - right
+    if not residual.any():  # the common exact case, at no further cost
         return None
-    scale = np.fmax(1.0, spectral_norm(a))
-    i = _first_failing(dev > tol * scale)
-    return None if i is None else (float(dev[i]), float(scale[i]))
+    dev = scale = np.inf
+    if np.isfinite(residual).all():
+        dev = np.asarray(spectral_norm(residual))
+        if (dev <= tol).all():
+            return None
+        scale = np.fmax(1.0, spectral_norm(a))
+    unit = 1.0
+    if not (np.isfinite(dev).all() and np.isfinite(scale).all()):
+        largest = np.max([np.abs(part).max(axis=(-2, -1), initial=0.0)
+                          for m in (left, right) for part in (m.real, m.imag)],
+                         axis=0)  # per matrix, of |re| and |im| of an entry
+        if not np.isfinite(largest).all():
+            raise ValueError("matrix contains non-finite entries")
+        unit = np.ldexp(1.0, -np.frexp(largest)[1])  # largest * unit < 1
+        u = unit[..., None, None]
+        dev = np.asarray(spectral_norm(left * u - right * u))
+        scale = np.fmax(unit, spectral_norm(a * u))
+    i = _first_failing(~(dev <= tol * scale))
+    if i is None:
+        return None
+    with np.errstate(over="ignore"):
+        return float((dev / unit)[i]), float((scale / unit)[i])
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERM_TOL,

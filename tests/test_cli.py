@@ -15,7 +15,8 @@ import effham
 from effham import __version__, partition_hamiltonian
 from effham.bloch import adiabatic_embedding, iterate_bloch, perturbative_bloch
 from effham.cli import (
-    _fmt_cell,
+    _csv,
+    _float_token,
     build_parser,
     format_float,
     load_model,
@@ -74,11 +75,28 @@ def test_json_and_csv_float_strings_pinned():
         (2**53 + 1, "9007199254740992", "9007199254740992"),
         (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
     ]
-    for x, json_text, csv_text in cases:
+    for x, json_text, _ in cases:
         assert format_float(x) == json_text
-        assert _fmt_cell(x) == csv_text
-    assert _fmt_cell(None) == ""
-    assert _fmt_cell("adiabatic") == "adiabatic"
+    column = np.array([x for x, _, _ in cases])
+    assert _csv(["x"], column) == "".join(
+        f"{line}\n" for line in ["x", *(text for _, _, text in cases)])
+    # A text column passes through as given, an empty cell included.
+    assert _csv(["method", "x", "radius"], ["adiabatic", "sw"],
+                column[-2:], ["", "3.5"]) == (
+        "method,x,radius\nadiabatic,9007199254740992,\n"
+        "sw,0.10000000000000001,3.5\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(xs=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8))
+@example([-0.0, 5e-324, -2.2250738585072014e-308, float("nan"),
+          float("-inf")])
+def test_csv_float_cells_match_the_float_token(xs):
+    column = np.array(xs)
+    lines = _csv(["a", "b"], column, column[::-1]).splitlines()
+    assert lines[0] == "a,b"
+    assert lines[1:] == [f"{_float_token(x)},{_float_token(y)}"
+                         for x, y in zip(xs, xs[::-1])]
 
 
 def test_parse_complex_entry_forms():
@@ -325,6 +343,23 @@ def test_solve_sweep_bad_spec(tmp_path):
     model = write_lambda(tmp_path)
     assert main(["solve", model, "--sweep", "rabi_a:0:1"]) == 2
     assert main(["solve", model, "--sweep", "bogus:0:1:3"]) == 2
+
+
+def test_solve_sweep_off_the_ball_writes_an_empty_radius(tmp_path, capsys):
+    # At gap 0.2 and 0.3625 epsilon_prime exceeds (1 - epsilon) / 2: no
+    # invariant ball, so the radius cell is empty; past it, a number.
+    model = write_lambda(tmp_path)
+    assert main(["solve", model, "--sweep", "gap:0.2:1.5:9"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith(",radius") and len(rows) == 9
+    radii = [row.split(",")[-1] for row in rows]
+    assert radii[:2] == ["", ""]
+    assert all(float(r) > 1.0 for r in radii[2:])
+    off = tmp_path / "off.json"
+    assert main(["export", "--preset", "lambda", "--set", "gap=0.2",
+                 "--out", str(off)]) == 0
+    assert main(["solve", str(off)]) == 0
+    assert json.loads(capsys.readouterr().out)["radius"] is None
 
 
 def test_solve_sweep_row_equals_the_single_solve(tmp_path, capsys):
@@ -1027,3 +1062,47 @@ def test_import_loads_no_third_party_package_but_numpy():
                          env=_child_env(), text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "['effham', 'numpy']"
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("solve", {"matrix": {"hamiltonian": [[1, 1e308, 0], [-1e308, 2, 0],
+                                          [0, 0, 3]], "slow_indices": [0]}},
+     "NotHermitian: hamiltonian is not hermitian"),
+    ("simulate", {"matrix": {"hamiltonian": [[1, 1e308, 0], [-1e308, 2, 0],
+                                             [0, 0, 3]], "slow_indices": [0]}},
+     "NotHermitian: hamiltonian is not hermitian"),
+    ("floquet", {"floquet": {"dim": 2, "drive_frequency": 10.0, "components": {
+        "1": [[0, 1e308], [0, 0]], "-1": [[0, 0], [-1e308, 0]]}}},
+     "NotHermitian: components 1 and -1 are not mutually adjoint"),
+])
+def test_overflowing_models_exit_3_with_the_error_line_alone(tmp_path,
+                                                             command, doc,
+                                                             error):
+    # Their residual a^dagger - b overflows to inf; such a model once passed
+    # as hermitian, behind RuntimeWarnings and LAPACK's own stderr lines.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    extra = {"solve": [], "simulate": ["--tmax", "1"],
+             "floquet": ["--methods", "hf1"]}[command]
+    run = subprocess.run([sys.executable, "-m", "effham.cli", command,
+                          str(model), *extra], capture_output=True, text=True,
+                         env=_child_env())
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith(f"error: {error}")
+    assert run.stderr.count("\n") == 1
+
+
+def test_simulate_hermitian_model_near_overflow(tmp_path, capsys):
+    # Hermitizing as (a + a^dagger) / 2 overflowed on these finite entries.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"matrix": {
+        "hamiltonian": [[1e308, 1e308, 0], [1e308, -1e308, 0], [0, 0, 1]],
+        "slow_indices": [2]}}))
+    assert main(["simulate", str(model), "--tmax", "1", "--samples", "3",
+                 "--generators", "exact,adiabatic"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()
+            if line[0].isdigit()]
+    assert len(rows) == 6
+    assert all(np.isfinite(float(x)) for row in rows for x in row)

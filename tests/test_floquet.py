@@ -1,6 +1,7 @@
 """Harmonic-lattice operator, quasi-energies, and high-frequency limits."""
 from __future__ import annotations
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -185,6 +186,18 @@ def test_spec_pair_check_matches_reference_formula(n, seed, norm, ratio):
         with pytest.raises(NotHermitian) as info:
             FloquetSpec(dim=n, drive_frequency=3.0, components=comps)
         assert info.value.deviation == expected
+
+
+def test_spec_pair_check_holds_past_the_overflow_threshold():
+    # H_1^dagger - H_-1 overflows to inf here; it once passed as adjoint.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match="not mutually adjoint"):
+            FloquetSpec(dim=2, drive_frequency=10.0, components={
+                1: 1e308 * SP, -1: -1e308 * SM})
+        big = np.finfo(float).max
+        FloquetSpec(dim=2, drive_frequency=10.0, components={
+            1: big * SM, -1: big * SP, 0: big * SZ})
 
 
 def test_monodromy_records_default_step_count():

@@ -1,6 +1,8 @@
 """Linear-algebra kernel contracts: norms, decompositions, guards."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -54,6 +56,52 @@ def test_require_hermitian_judges_huge_entries_without_overflow():
     assert mk.require_hermitian(h) is h
     near = h + np.array([[0.0, 1e187], [-1e187, 0.0]])
     assert mk.require_hermitian(near) is near
+
+
+NEAR_OVERFLOW_SKEW = [np.array([[1e308, 1e308], [-1e308, 0.0]]),
+                      np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])]
+BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize("a", NEAR_OVERFLOW_SKEW)
+def test_require_hermitian_rejects_residuals_that_overflow(a, capfd):
+    # a - a^dagger overflows to inf; its SVD read nan, and nan passed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian):
+            mk.require_hermitian(a)
+        stack = np.stack([np.eye(2), a])
+        with pytest.raises(NotHermitian):
+            mk.require_hermitian(stack)
+        h = np.zeros((2, 3, 3), dtype=complex)
+        h[..., 2, 2] = 3.0
+        h[:, :2, :2] = stack
+        with pytest.raises(NotHermitian):
+            partition_hamiltonian(h, [0])
+    assert capfd.readouterr().err == ""  # nothing from LAPACK
+
+
+@pytest.mark.parametrize("h, slow", [
+    ([[1e308, 1e308, 0], [1e308, -1e308, 0], [0, 0, 1]], [2]),
+    ([[0, BIG, 0], [BIG, 0, 0], [0, 0, 1]], [2]),
+    ([[1, 0, 0], [0, 0, 1j * BIG], [0, -1j * BIG, 0]], [0]),
+    ([[BIG, 0, 1], [0, -BIG, 0], [1, 0, 0.5]], [2]),
+])
+def test_hermitian_matrices_near_overflow_pass_and_partition(h, slow):
+    h = np.array(h, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mk.require_hermitian(h) is h
+        assert np.array_equal(mk.hermitize(h), h)
+        ph = partition_hamiltonian(h, slow)
+        for block in (ph.slow_block, ph.fast_block, ph.coupling,
+                      ph.fast_eig.values):
+            assert np.isfinite(block).all()
+
+
+def test_require_hermitian_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite"):
+        mk.require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
